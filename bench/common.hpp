@@ -2,26 +2,15 @@
 // table/figure; see DESIGN.md §4 and EXPERIMENTS.md).
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
-
-#include "telemetry/metrics.hpp"
-#include "telemetry/timeseries.hpp"
-#include "telemetry/tracing.hpp"
 
 namespace storm::bench {
 
@@ -42,18 +31,8 @@ inline double peak_rss_mb() {
 #endif
 }
 
-/// `--fast` runs shortened workloads (same sweep shape, ~10x less
-/// simulated work) for smoke-testing the harnesses.
-inline bool fast_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) return true;
-  }
-  return false;
-}
-
-/// Scan argv for `<flag> <out-path>` (e.g. `--metrics x.json`,
-/// `--trace y.json`). A trailing flag with no path is a usage error
-/// (it used to be silently ignored), as is an empty path.
+/// Scan argv for `<flag> <out-path>` (e.g. `statectl --state x.json`).
+/// A trailing flag with no path is a usage error, as is an empty path.
 inline const char* parse_out_path(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) != 0) continue;
@@ -66,436 +45,6 @@ inline const char* parse_out_path(int argc, char** argv, const char* flag) {
   }
   return nullptr;
 }
-
-/// `--metrics <out.json>`: export a merged telemetry snapshot
-/// (storm.metrics.v1) covering every cluster the harness ran.
-inline const char* metrics_path(int argc, char** argv) {
-  return parse_out_path(argc, argv, "--metrics");
-}
-
-/// Scan argv for `<flag> <value>` where value is a number; -1 when the
-/// flag is absent (budgets are opt-in).
-inline double budget_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atof(argv[i + 1]);
-  }
-  return -1.0;
-}
-
-/// `--jobs N`: number of worker threads the SweepRunner
-/// (bench/runner.hpp) uses for independent sweep points. Defaults to
-/// 1 (serial); output is byte-identical either way.
-inline int jobs_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") != 0) continue;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s: --jobs requires a thread count "
-                   "(usage: --jobs <N>)\n", argv[0]);
-      std::exit(2);
-    }
-    char* end = nullptr;
-    const long n = std::strtol(argv[i + 1], &end, 10);
-    if (end == argv[i + 1] || *end != '\0' || n < 1 || n > 1024) {
-      std::fprintf(stderr, "%s: --jobs: '%s' is not a thread count in "
-                   "[1, 1024]\n", argv[0], argv[i + 1]);
-      std::exit(2);
-    }
-    return static_cast<int>(n);
-  }
-  return 1;
-}
-
-/// Aggregates the per-run registries of the (typically many) Clusters
-/// a harness creates and writes one JSON snapshot at exit. When the
-/// flags are absent every call is a no-op, so harness code can stay
-/// unconditional.
-///
-/// Beyond `--metrics`, this is also the home of the time-resolved
-/// telemetry plane (DESIGN.md §3.7):
-///   --timeseries <out.json>   export merged windowed series
-///                             (storm.timeseries.v1)
-///   --timeseries-window <ms>  recorder window (default 10 simulated ms)
-///   --watchdog "<spec>"       SLO rule, repeatable (see parse_watchdog)
-///   --watchdog-fail           exit nonzero if any watchdog fired
-///
-/// Usage:
-///   bench::MetricsExport mx(argc, argv);
-///   ...per run:   if (mx.enabled()) cluster.enable_fabric_metrics();
-///                 if (mx.ts_enabled())
-///                   cluster.enable_timeseries(mx.ts_options());
-///                 ...run...
-///                 mx.collect(cluster.metrics());
-///                 if (mx.ts_enabled())
-///                   mx.collect_series(cluster.timeseries()->snapshot());
-///   ...at exit:   rc |= mx.write();
-class MetricsExport {
- public:
-  MetricsExport(int argc, char** argv)
-      : path_(metrics_path(argc, argv)),
-        ts_path_(parse_out_path(argc, argv, "--timeseries")) {
-    if (enabled()) telemetry::count_trace_lines(master_);
-    if (const double win_ms = budget_flag(argc, argv, "--timeseries-window");
-        win_ms > 0) {
-      ts_opts_.window = sim::SimTime::millis(win_ms);
-    }
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--watchdog") != 0) continue;
-      if (i + 1 >= argc || argv[i + 1][0] == '\0') {
-        std::fprintf(stderr, "%s: --watchdog requires a rule "
-                     "(usage: --watchdog \"<metric> [sel] <cmp> <thresh>"
-                     " [for N]\")\n", argv[0]);
-        std::exit(2);
-      }
-      telemetry::WatchdogRule rule;
-      std::string err;
-      if (!telemetry::parse_watchdog(argv[++i], rule, &err)) {
-        std::fprintf(stderr, "%s: --watchdog '%s': %s\n", argv[0], argv[i],
-                     err.c_str());
-        std::exit(2);
-      }
-      ts_opts_.watchdogs.push_back(std::move(rule));
-    }
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--watchdog-fail") == 0) watchdog_fail_ = true;
-    }
-  }
-  ~MetricsExport() {
-    if (enabled()) sim::Tracer::instance().set_line_observer({});
-  }
-  MetricsExport(const MetricsExport&) = delete;
-  MetricsExport& operator=(const MetricsExport&) = delete;
-
-  bool enabled() const { return path_ != nullptr; }
-
-  /// True when the harness should arm the windowed recorder on every
-  /// cluster it runs: either an export path or a watchdog rule was
-  /// given. Default-off, so golden stdout/metrics stay unchanged.
-  bool ts_enabled() const {
-    return ts_path_ != nullptr || !ts_opts_.watchdogs.empty();
-  }
-
-  /// Recorder configuration for Cluster::enable_timeseries().
-  const telemetry::TimeSeriesOptions& ts_options() const { return ts_opts_; }
-
-  void collect(const telemetry::MetricsRegistry& reg) {
-    if (enabled()) master_.merge(reg);
-  }
-
-  /// Merge one run's recorder snapshot into the export. Call from the
-  /// serial commit path (SweepRunner commits points in order), so the
-  /// merged store is byte-identical across --jobs values.
-  void collect_series(const telemetry::TimeSeriesStore& s) {
-    if (ts_enabled()) ts_master_.merge(s);
-  }
-
-  /// Write the merged snapshot(s) and print the control-plane overhead
-  /// headline (the paper claims resource management costs ~1% of the
-  /// system; see EXPERIMENTS.md). Returns the exit-code contribution:
-  /// 1 when `--watchdog-fail` was given and any watchdog fired, else 0.
-  int write() {
-    if (enabled()) {
-      telemetry::update_overhead_ratio(master_);
-      std::string json = master_.to_json();
-      // Splice the process record in right after the schema line so
-      // the paper-metric series themselves stay byte-identical. Golden
-      // and parallel-sweep comparisons strip this one line (RSS is the
-      // only nondeterministic field in the file).
-      static constexpr std::string_view kSchemaLine =
-          "  \"schema\": \"storm.metrics.v1\",\n";
-      if (const auto pos = json.find(kSchemaLine); pos != std::string::npos) {
-        char proc[64];
-        std::snprintf(proc, sizeof proc,
-                      "  \"proc\": {\"peak_rss_mb\": %.1f},\n", peak_rss_mb());
-        json.insert(pos + kSchemaLine.size(), proc);
-      }
-      std::FILE* f = std::fopen(path_, "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "--metrics: cannot open %s\n", path_);
-      } else {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("\nmetrics: wrote %zu series to %s\n", master_.size(),
-                    path_);
-        if (const auto* g = master_.find_gauge(telemetry::kOverheadRatioGauge);
-            g != nullptr && g->ever_set()) {
-          std::printf("metrics: control-plane overhead %.3f%% of fabric "
-                      "bytes\n", g->value() * 100.0);
-        }
-      }
-      // stderr, not stdout: golden comparisons cover stdout + the JSON.
-      std::fprintf(stderr, "metrics: peak RSS %.1f MB\n", peak_rss_mb());
-    }
-    if (!ts_enabled()) return 0;
-    if (ts_path_ != nullptr) {
-      const std::string json = ts_master_.to_json();
-      std::FILE* f = std::fopen(ts_path_, "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "--timeseries: cannot open %s\n", ts_path_);
-      } else {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("\ntimeseries: wrote %zu points across %zu series to "
-                    "%s\n", ts_master_.total_points(),
-                    ts_master_.series.size(), ts_path_);
-      }
-    }
-    if (!ts_opts_.watchdogs.empty()) {
-      std::printf("watchdog: %zu breach%s\n", ts_master_.breaches.size(),
-                  ts_master_.breaches.size() == 1 ? "" : "es");
-      for (const auto& b : ts_master_.breaches) {
-        std::printf("watchdog: BREACH [%s] window %lld value %.6g "
-                    "(threshold %.6g)\n", b.rule.c_str(),
-                    static_cast<long long>(b.window), b.value, b.threshold);
-      }
-    }
-    if (watchdog_fail_ && !ts_master_.breaches.empty()) {
-      std::fprintf(stderr, "watchdog: FAIL %zu breach(es) with "
-                   "--watchdog-fail\n", ts_master_.breaches.size());
-      return 1;
-    }
-    return 0;
-  }
-
- private:
-  const char* path_;
-  const char* ts_path_;
-  telemetry::TimeSeriesOptions ts_opts_;
-  bool watchdog_fail_ = false;
-  telemetry::MetricsRegistry master_;
-  telemetry::TimeSeriesStore ts_master_;
-};
-
-/// `--bench-json <out.json>`: a machine-readable health record of the
-/// harness run itself (schema storm.bench.v1) — wall time, peak RSS,
-/// engine-event totals, and the nodes×events/s simulation throughput
-/// the ROADMAP flags as the per-fig budget metric. `node_events` is
-/// Σ(run nodes × run engine events): how much per-node simulation work
-/// the harness got through; divided by wall time it is a
-/// machine-comparable throughput an optional `--min-node-events-per-s`
-/// budget can gate (CI records the number but does not enforce a floor
-/// — wall clock is too machine-dependent for a hard gate there).
-///
-/// record_run() is thread-safe, so SweepRunner workers may call it as
-/// points finish; totals are order-independent.
-///
-/// Usage:
-///   bench::BenchJsonExport bx(argc, argv, "fig02");
-///   ...per run:   bx.record_run(nodes, sim.events_executed());
-///   ...at exit:   return bx.write();  // 0, or 1 if a budget failed
-class BenchJsonExport {
- public:
-  BenchJsonExport(int argc, char** argv, const char* bench)
-      : path_(parse_out_path(argc, argv, "--bench-json")),
-        bench_(bench),
-        fast_(fast_mode(argc, argv)),
-        min_node_events_per_s_(
-            budget_flag(argc, argv, "--min-node-events-per-s")),
-        t0_(std::chrono::steady_clock::now()) {}
-  BenchJsonExport(const BenchJsonExport&) = delete;
-  BenchJsonExport& operator=(const BenchJsonExport&) = delete;
-
-  bool enabled() const {
-    return path_ != nullptr || min_node_events_per_s_ > 0;
-  }
-
-  void record_run(int nodes, std::uint64_t events) {
-    runs_.fetch_add(1, std::memory_order_relaxed);
-    events_.fetch_add(events, std::memory_order_relaxed);
-    node_events_.fetch_add(static_cast<std::uint64_t>(nodes) * events,
-                           std::memory_order_relaxed);
-    std::uint64_t seen = nodes_max_.load(std::memory_order_relaxed);
-    while (seen < static_cast<std::uint64_t>(nodes) &&
-           !nodes_max_.compare_exchange_weak(
-               seen, static_cast<std::uint64_t>(nodes),
-               std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Record a named scalar the harness wants CI to see (e.g. the
-  /// measured MM failover gap). Emitted under "values" in the JSON,
-  /// sorted by name so output is deterministic. Thread-safe; the last
-  /// write to a name wins.
-  void record_value(const std::string& name, double value) {
-    const std::lock_guard<std::mutex> lock(values_mu_);
-    values_[name] = value;
-  }
-
-  /// Write the JSON (if `--bench-json` was given) and enforce the
-  /// throughput budget (if given). Returns the harness exit-code
-  /// contribution: 0 ok, 1 budget failure.
-  int write() const {
-    if (!enabled()) return 0;
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
-            .count();
-    const double rss_mb = peak_rss_mb();
-    const auto node_events = node_events_.load(std::memory_order_relaxed);
-    const double per_s =
-        wall_s > 0 ? static_cast<double>(node_events) / wall_s : 0.0;
-    if (path_ != nullptr) {
-      std::FILE* f = std::fopen(path_, "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "--bench-json: cannot open %s\n", path_);
-        return 1;
-      }
-      std::fprintf(f, "{\n  \"schema\": \"storm.bench.v1\",\n");
-      std::fprintf(f, "  \"bench\": \"%s\",\n", bench_);
-      std::fprintf(f, "  \"fast\": %s,\n", fast_ ? "true" : "false");
-      std::fprintf(f, "  \"runs\": %llu,\n",
-                   static_cast<unsigned long long>(
-                       runs_.load(std::memory_order_relaxed)));
-      std::fprintf(f, "  \"events\": %llu,\n",
-                   static_cast<unsigned long long>(
-                       events_.load(std::memory_order_relaxed)));
-      std::fprintf(f, "  \"nodes_max\": %llu,\n",
-                   static_cast<unsigned long long>(
-                       nodes_max_.load(std::memory_order_relaxed)));
-      std::fprintf(f, "  \"node_events\": %llu,\n",
-                   static_cast<unsigned long long>(node_events));
-      std::fprintf(f, "  \"node_events_per_s\": %.1f,\n", per_s);
-      {
-        const std::lock_guard<std::mutex> lock(values_mu_);
-        if (!values_.empty()) {
-          std::fprintf(f, "  \"values\": {\n");
-          std::size_t i = 0;
-          for (const auto& [name, v] : values_) {
-            std::fprintf(f, "    \"%s\": %.3f%s\n", name.c_str(), v,
-                         ++i < values_.size() ? "," : "");
-          }
-          std::fprintf(f, "  },\n");
-        }
-      }
-      std::fprintf(f, "  \"wall_s\": %.3f,\n", wall_s);
-      std::fprintf(f, "  \"peak_rss_mb\": %.1f\n}\n", rss_mb);
-      std::fclose(f);
-      std::fprintf(stderr, "bench-json: wrote %s (%.3g node-events/s)\n",
-                   path_, per_s);
-    }
-    if (min_node_events_per_s_ > 0 && per_s < min_node_events_per_s_) {
-      std::fprintf(stderr,
-                   "bench-json: FAIL %.3g node-events/s < budget %.3g\n",
-                   per_s, min_node_events_per_s_);
-      return 1;
-    }
-    return 0;
-  }
-
- private:
-  const char* path_;
-  const char* bench_;
-  bool fast_;
-  double min_node_events_per_s_;
-  std::chrono::steady_clock::time_point t0_;
-  std::atomic<std::uint64_t> runs_{0};
-  std::atomic<std::uint64_t> events_{0};
-  std::atomic<std::uint64_t> node_events_{0};
-  std::atomic<std::uint64_t> nodes_max_{0};
-  mutable std::mutex values_mu_;
-  std::map<std::string, double> values_;
-};
-
-/// `--trace <out.json>`: export a Perfetto/Chrome trace-event timeline
-/// of one instrumented run plus a per-job critical-path decomposition
-/// on stdout. Harnesses sweep many configurations but a timeline of
-/// everything would be unreadable, so the *last* collected run wins —
-/// collect the anchor configuration last. When the flag is absent every
-/// call is a no-op, mirroring MetricsExport.
-///
-/// Usage:
-///   bench::TraceExport tx(argc, argv);
-///   ...per run:   if (tx.enabled()) cluster.enable_tracing();
-///                 ...run...
-///                 if (tx.enabled()) tx.collect(cluster.tracer()->buffer());
-///   ...at exit:   tx.write();
-class TraceExport {
- public:
-  /// The rendered artifacts of one run's TraceBuffer. `snapshot()` is
-  /// pure, so parallel sweep workers may take one while the cluster is
-  /// still alive and `adopt()` it later from the serial commit path —
-  /// keeping the exported timeline identical across --jobs values.
-  struct Snapshot {
-    std::string json;
-    std::string report;
-    std::size_t spans = 0;
-    std::size_t dropped = 0;
-  };
-
-  TraceExport(int argc, char** argv)
-      : path_(parse_out_path(argc, argv, "--trace")) {}
-  TraceExport(const TraceExport&) = delete;
-  TraceExport& operator=(const TraceExport&) = delete;
-
-  bool enabled() const { return path_ != nullptr; }
-
-  /// Render `buf` to a Perfetto JSON string plus a critical-path
-  /// report covering up to kMaxReports job traces. Thread-safe.
-  Snapshot snapshot(const telemetry::TraceBuffer& buf) const {
-    Snapshot s;
-    if (!enabled()) return s;
-    s.json = telemetry::to_perfetto_json(buf);
-    s.spans = buf.spans().size();
-    s.dropped = buf.dropped();
-    std::vector<std::uint64_t> traces;
-    for (const auto& sp : buf.spans()) {
-      if (sp.trace >= 2 && !sp.open()) traces.push_back(sp.trace);
-    }
-    std::sort(traces.begin(), traces.end());
-    traces.erase(std::unique(traces.begin(), traces.end()), traces.end());
-    const std::size_t shown = std::min<std::size_t>(traces.size(), kMaxReports);
-    for (std::size_t i = 0; i < shown; ++i) {
-      const std::uint64_t t = traces[i];
-      const std::uint64_t job = (t - 2) / telemetry::kIncarnationsPerJob;
-      const std::uint64_t inc = (t - 2) % telemetry::kIncarnationsPerJob;
-      const auto cp = telemetry::analyze_launch(buf, t);
-      char head[96];
-      std::snprintf(head, sizeof head,
-                    "trace: job %llu incarnation %llu critical path:\n",
-                    static_cast<unsigned long long>(job),
-                    static_cast<unsigned long long>(inc));
-      s.report += head;
-      s.report += telemetry::format_critical_path(cp);
-    }
-    if (traces.size() > shown) {
-      char tail[64];
-      std::snprintf(tail, sizeof tail, "trace: ... and %zu more job traces\n",
-                    traces.size() - shown);
-      s.report += tail;
-    }
-    return s;
-  }
-
-  /// Make `s` the timeline that write() exports (last adopted wins).
-  void adopt(Snapshot&& s) {
-    if (enabled() && !s.json.empty()) last_ = std::move(s);
-  }
-
-  /// snapshot() + adopt() for the common serial-harness case.
-  void collect(const telemetry::TraceBuffer& buf) { adopt(snapshot(buf)); }
-
-  /// Write the timeline JSON and print the critical-path report.
-  void write() {
-    if (!enabled() || last_.json.empty()) return;
-    std::FILE* f = std::fopen(path_, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "--trace: cannot open %s\n", path_);
-      return;
-    }
-    std::fwrite(last_.json.data(), 1, last_.json.size(), f);
-    std::fclose(f);
-    std::printf("\ntrace: wrote %zu spans to %s (load in ui.perfetto.dev)\n",
-                last_.spans, path_);
-    if (last_.dropped > 0) {
-      std::printf("trace: buffer full, %zu spans dropped\n", last_.dropped);
-    }
-    std::fputs(last_.report.c_str(), stdout);
-  }
-
- private:
-  static constexpr std::size_t kMaxReports = 8;
-
-  const char* path_;
-  Snapshot last_;
-};
 
 /// Minimal fixed-width table printer.
 class Table {

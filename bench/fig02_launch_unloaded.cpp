@@ -7,7 +7,7 @@
 // execute grows with node count through OS skew and is independent of
 // binary size.
 #include "bench/common.hpp"
-#include "bench/state_export.hpp"
+#include "bench/harness.hpp"
 #include "sim/stats.hpp"
 #include "storm/buddy_allocator.hpp"
 #include "storm/cluster.hpp"
@@ -23,9 +23,8 @@ struct Cell {
   double exec_ms;
 };
 
-Cell measure(int processors, sim::Bytes binary, int repetitions,
-             bench::MetricsExport& mx, bench::TraceExport& tx,
-             bench::StateExport& sx, bench::BenchJsonExport& bx) {
+Cell measure(bench::Harness& h, int processors, sim::Bytes binary,
+             int repetitions) {
   sim::Series send, exec;
   for (int rep = 0; rep < repetitions; ++rep) {
     sim::Simulator sim(0xF16'02ULL + rep * 7919);
@@ -34,17 +33,11 @@ Cell measure(int processors, sim::Bytes binary, int repetitions,
     core::ClusterConfig cfg = core::ClusterConfig::es40(nodes);
     cfg.storm.quantum = 1_ms;  // the paper's launch-experiment setting
     core::Cluster cluster(sim, cfg);
-    if (mx.enabled()) cluster.enable_fabric_metrics();
-    if (mx.ts_enabled()) cluster.enable_timeseries(mx.ts_options());
-    if (tx.enabled()) cluster.enable_tracing();
+    h.attach(cluster);
     const auto id = cluster.submit(
         {.name = "noop", .binary_size = binary, .npes = processors});
     const bool done = cluster.run_until_all_complete(600_sec);
-    mx.collect(cluster.metrics());
-    if (mx.ts_enabled()) mx.collect_series(cluster.timeseries()->snapshot());
-    if (tx.enabled()) tx.collect(cluster.tracer()->buffer());
-    sx.collect(cluster);
-    bx.record_run(nodes, sim.events_executed());
+    h.capture(cluster);
     if (!done) continue;
     send.add(cluster.job(id).times().send_time().to_millis());
     exec.add(cluster.job(id).times().execute_time().to_millis());
@@ -55,12 +48,8 @@ Cell measure(int processors, sim::Bytes binary, int repetitions,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool fast = bench::fast_mode(argc, argv);
-  const int reps = fast ? 1 : 3;
-  bench::MetricsExport mx(argc, argv);
-  bench::TraceExport tx(argc, argv);
-  bench::StateExport sx(argc, argv);
-  bench::BenchJsonExport bx(argc, argv, "fig02");
+  bench::Harness h(argc, argv, "fig02");
+  const int reps = h.fast() ? 1 : 3;
 
   bench::banner("Figure 2 — job launch times, unloaded system",
                 "send/execute vs processors for 4/8/12 MB binaries; "
@@ -72,9 +61,9 @@ int main(int argc, char** argv) {
   // The 12 MB / 256-PE anchor configuration is measured last, so its
   // run is the one a `--trace` export shows.
   for (int pes : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
-    const Cell c4 = measure(pes, 4_MB, reps, mx, tx, sx, bx);
-    const Cell c8 = measure(pes, 8_MB, reps, mx, tx, sx, bx);
-    const Cell c12 = measure(pes, 12_MB, reps, mx, tx, sx, bx);
+    const Cell c4 = measure(h, pes, 4_MB, reps);
+    const Cell c8 = measure(h, pes, 8_MB, reps);
+    const Cell c12 = measure(h, pes, 12_MB, reps);
     t.cell(pes);
     t.cell(c4.send_ms);
     t.cell(c4.exec_ms);
@@ -88,9 +77,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\n(all times in ms; paper: sends proportional to size, nearly flat in"
       " PEs;\n execute grows with PEs via OS skew, independent of size)\n");
-  int rc = mx.write();
-  tx.write();
-  rc |= bx.write();
-  sx.write();  // last: `--state -` appends the snapshot to stdout
-  return rc;
+  return h.finish();
 }

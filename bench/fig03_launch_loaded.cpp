@@ -5,7 +5,7 @@
 // network-loaded system, it still takes only 1.5 seconds to launch a
 // 12 MB file on 256 processors."
 #include "bench/common.hpp"
-#include "bench/state_export.hpp"
+#include "bench/harness.hpp"
 #include "sim/stats.hpp"
 #include "storm/buddy_allocator.hpp"
 #include "storm/cluster.hpp"
@@ -23,9 +23,7 @@ struct Cell {
   double exec_ms;
 };
 
-Cell measure(int processors, Load load, int repetitions,
-             bench::MetricsExport& mx, bench::TraceExport& tx,
-             bench::StateExport& sx, bench::BenchJsonExport& bx) {
+Cell measure(bench::Harness& h, int processors, Load load, int repetitions) {
   sim::Series send, exec;
   for (int rep = 0; rep < repetitions; ++rep) {
     sim::Simulator sim(0xF16'03ULL + rep * 104729);
@@ -34,19 +32,13 @@ Cell measure(int processors, Load load, int repetitions,
     core::ClusterConfig cfg = core::ClusterConfig::es40(nodes);
     cfg.storm.quantum = 1_ms;
     core::Cluster cluster(sim, cfg);
-    if (mx.enabled()) cluster.enable_fabric_metrics();
-    if (mx.ts_enabled()) cluster.enable_timeseries(mx.ts_options());
-    if (tx.enabled()) cluster.enable_tracing();
+    h.attach(cluster);
     if (load == Load::Cpu) cluster.start_cpu_load();
     if (load == Load::Network) cluster.start_network_load();
     const auto id = cluster.submit(
         {.name = "noop", .binary_size = 12_MB, .npes = processors});
     const bool done = cluster.run_until_all_complete(3600_sec);
-    mx.collect(cluster.metrics());
-    if (mx.ts_enabled()) mx.collect_series(cluster.timeseries()->snapshot());
-    if (tx.enabled()) tx.collect(cluster.tracer()->buffer());
-    sx.collect(cluster);
-    bx.record_run(nodes, sim.events_executed());
+    h.capture(cluster);
     if (!done) continue;
     send.add(cluster.job(id).times().send_time().to_millis());
     exec.add(cluster.job(id).times().execute_time().to_millis());
@@ -57,12 +49,8 @@ Cell measure(int processors, Load load, int repetitions,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool fast = bench::fast_mode(argc, argv);
-  const int reps = fast ? 1 : 3;
-  bench::MetricsExport mx(argc, argv);
-  bench::TraceExport tx(argc, argv);
-  bench::StateExport sx(argc, argv);
-  bench::BenchJsonExport bx(argc, argv, "fig03");
+  bench::Harness h(argc, argv, "fig03");
+  const int reps = h.fast() ? 1 : 3;
 
   bench::banner("Figure 3 — 12 MB launch under load",
                 "send/execute vs processors, {unloaded, CPU-loaded, "
@@ -72,9 +60,9 @@ int main(int argc, char** argv) {
                   "execN", "totalN"});
   t.print_header();
   for (int pes : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
-    const Cell u = measure(pes, Load::None, reps, mx, tx, sx, bx);
-    const Cell c = measure(pes, Load::Cpu, reps, mx, tx, sx, bx);
-    const Cell n = measure(pes, Load::Network, reps, mx, tx, sx, bx);
+    const Cell u = measure(h, pes, Load::None, reps);
+    const Cell c = measure(h, pes, Load::Cpu, reps);
+    const Cell n = measure(h, pes, Load::Network, reps);
     t.cell(pes);
     t.cell(u.send_ms);
     t.cell(u.exec_ms);
@@ -86,9 +74,5 @@ int main(int argc, char** argv) {
     t.end_row();
   }
   std::printf("\n(ms; U = unloaded, C = CPU-loaded, N = network-loaded)\n");
-  int rc = mx.write();
-  tx.write();
-  rc |= bx.write();
-  sx.write();  // last: `--state -` appends the snapshot to stdout
-  return rc;
+  return h.finish();
 }

@@ -11,8 +11,8 @@
 #include "apps/sweep3d.hpp"
 #include "apps/synthetic.hpp"
 #include "bench/common.hpp"
+#include "bench/harness.hpp"
 #include "bench/runner.hpp"
-#include "bench/state_export.hpp"
 #include "storm/cluster.hpp"
 
 namespace {
@@ -21,24 +21,16 @@ using namespace storm;
 using namespace storm::sim::time_literals;
 using namespace storm::sim::byte_literals;
 
-double run_jobs(sim::SimTime quantum, int njobs, core::AppProgram program,
-                sim::SimTime limit, const bench::MetricsExport& mx,
-                telemetry::MetricsRegistry& metrics_out,
-                telemetry::TimeSeriesStore& series_out,
-                const bench::TraceExport& tx,
-                bench::TraceExport::Snapshot* trace_out,
-                const bench::StateExport& sx,
-                bench::StateExport::Snapshot* state_out,
-                bench::BenchJsonExport& bx) {
+double run_jobs(const bench::Harness& h, bench::Point& point,
+                sim::SimTime quantum, int njobs, core::AppProgram program,
+                sim::SimTime limit) {
   sim::Simulator sim(0xF16'04ULL);
   core::ClusterConfig cfg = core::ClusterConfig::es40(32);
   cfg.app_cpus_per_node = 2;  // 32 nodes / 64 PEs, as in the paper
   cfg.storm.quantum = quantum;
   cfg.storm.max_mpl = 2;
   core::Cluster cluster(sim, cfg);
-  if (mx.enabled()) cluster.enable_fabric_metrics();
-  if (mx.ts_enabled()) cluster.enable_timeseries(mx.ts_options());
-  if (tx.enabled()) cluster.enable_tracing();
+  h.attach(cluster);
   std::vector<core::JobId> ids;
   for (int j = 0; j < njobs; ++j) {
     ids.push_back(cluster.submit(
@@ -48,11 +40,7 @@ double run_jobs(sim::SimTime quantum, int njobs, core::AppProgram program,
          .program = program}));
   }
   const bool done = cluster.run_until_all_complete(limit);
-  metrics_out.merge(cluster.metrics());
-  if (mx.ts_enabled()) series_out.merge(cluster.timeseries()->snapshot());
-  if (tx.enabled()) *trace_out = tx.snapshot(cluster.tracer()->buffer());
-  if (sx.enabled()) *state_out = sx.snapshot(cluster);
-  bx.record_run(32, sim.events_executed());
+  h.capture(cluster, point);
   if (!done) return -1.0;
   // Application-level timing, as the paper's self-timing benchmarks
   // report it (free of MM boundary rounding).
@@ -70,11 +58,8 @@ double run_jobs(sim::SimTime quantum, int njobs, core::AppProgram program,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool fast = bench::fast_mode(argc, argv);
-  bench::MetricsExport mx(argc, argv);
-  bench::TraceExport tx(argc, argv);
-  bench::StateExport sx(argc, argv);
-  bench::BenchJsonExport bx(argc, argv, "fig04");
+  bench::Harness h(argc, argv, "fig04", {bench::kJobsFlag});
+  const bool fast = h.fast();
 
   apps::Sweep3DParams sweep;
   // Compute budget chosen so the end-to-end runtime including the
@@ -93,38 +78,26 @@ int main(int argc, char** argv) {
   const double quanta_ms[] = {0.3, 0.5, 1, 2, 5, 10, 20, 50,
                               100, 300, 1000, 2000, 8000};
   // One sweep point per quantum: the three runs inside a point stay
-  // serial (their registries merge in s1, s2, c2 order), points
-  // evaluate on the --jobs pool, and rows commit in quantum order —
-  // so stdout and --metrics JSON match a serial run byte for byte.
+  // serial, points evaluate on the --jobs pool, and rows commit in
+  // quantum order (bench/harness.hpp).
   struct Row {
     double s1, s2, c2;
-    telemetry::MetricsRegistry metrics;
-    telemetry::TimeSeriesStore series;   // merged in-run, committed serially
-    bench::TraceExport::Snapshot trace;  // last run of the point
-    bench::StateExport::Snapshot state;  // last run of the point
+    bench::Point point;
   };
-  const bench::SweepRunner runner(argc, argv);
+  const bench::SweepRunner runner(h.jobs());
   runner.run(
       std::size(quanta_ms),
       [&](std::size_t qi) {
         const auto q = sim::SimTime::millis(quanta_ms[qi]);
         Row row;
-        row.s1 = run_jobs(q, 1, apps::sweep3d(sweep), limit, mx,
-                          row.metrics, row.series, tx, &row.trace, sx,
-                          &row.state, bx);
-        row.s2 = run_jobs(q, 2, apps::sweep3d(sweep), limit, mx,
-                          row.metrics, row.series, tx, &row.trace, sx,
-                          &row.state, bx);
-        row.c2 = run_jobs(q, 2, apps::synthetic_computation(synth_work),
-                          limit, mx, row.metrics, row.series, tx, &row.trace,
-                          sx, &row.state, bx);
+        row.s1 = run_jobs(h, row.point, q, 1, apps::sweep3d(sweep), limit);
+        row.s2 = run_jobs(h, row.point, q, 2, apps::sweep3d(sweep), limit);
+        row.c2 = run_jobs(h, row.point, q, 2,
+                          apps::synthetic_computation(synth_work), limit);
         return row;
       },
       [&](std::size_t qi, Row& row) {
-        mx.collect(row.metrics);
-        mx.collect_series(row.series);
-        tx.adopt(std::move(row.trace));
-        sx.adopt(std::move(row.state));
+        h.commit(std::move(row.point));
         t.cell(quanta_ms[qi], 1);
         t.cell(row.s1, 2);
         t.cell(row.s2, 2);
@@ -134,9 +107,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\n(seconds; runtime/MPL flat across three decades of quantum is the"
       " paper's headline scheduling result)\n");
-  int rc = mx.write();
-  tx.write();
-  rc |= bx.write();
-  sx.write();  // last: `--state -` appends the snapshot to stdout
-  return rc;
+  return h.finish();
 }

@@ -5,14 +5,12 @@
 // increase in the number of nodes beyond that caused by the
 // job-launch." (50 ms quantum.)
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "apps/sweep3d.hpp"
 #include "apps/synthetic.hpp"
 #include "bench/common.hpp"
+#include "bench/harness.hpp"
 #include "bench/runner.hpp"
-#include "bench/state_export.hpp"
 #include "storm/cluster.hpp"
 
 namespace {
@@ -21,24 +19,15 @@ using namespace storm;
 using namespace storm::sim::time_literals;
 using namespace storm::sim::byte_literals;
 
-double run_jobs(int nodes, int njobs, core::AppProgram program,
-                const bench::MetricsExport& mx,
-                telemetry::MetricsRegistry& metrics_out,
-                telemetry::TimeSeriesStore& series_out,
-                const bench::TraceExport& tx,
-                bench::TraceExport::Snapshot* trace_out,
-                const bench::StateExport& sx,
-                bench::StateExport::Snapshot* state_out,
-                bench::BenchJsonExport& bx) {
+double run_jobs(const bench::Harness& h, bench::Point& point, int nodes,
+                int njobs, core::AppProgram program) {
   sim::Simulator sim(0xF16'05ULL);
   core::ClusterConfig cfg = core::ClusterConfig::es40(nodes);
   cfg.app_cpus_per_node = 2;
   cfg.storm.quantum = 50_ms;  // the paper's pick after Figure 4
   cfg.storm.max_mpl = 2;
   core::Cluster cluster(sim, cfg);
-  if (mx.enabled()) cluster.enable_fabric_metrics();
-  if (mx.ts_enabled()) cluster.enable_timeseries(mx.ts_options());
-  if (tx.enabled()) cluster.enable_tracing();
+  h.attach(cluster);
   std::vector<core::JobId> ids;
   for (int j = 0; j < njobs; ++j) {
     ids.push_back(cluster.submit({.name = "app" + std::to_string(j),
@@ -47,11 +36,7 @@ double run_jobs(int nodes, int njobs, core::AppProgram program,
                                   .program = program}));
   }
   const bool done = cluster.run_until_all_complete(3600_sec);
-  metrics_out.merge(cluster.metrics());
-  if (mx.ts_enabled()) series_out.merge(cluster.timeseries()->snapshot());
-  if (tx.enabled()) *trace_out = tx.snapshot(cluster.tracer()->buffer());
-  if (sx.enabled()) *state_out = sx.snapshot(cluster);
-  bx.record_run(nodes, sim.events_executed());
+  h.capture(cluster, point);
   if (!done) return -1.0;
   // Application-level timing, as the paper's self-timing benchmarks
   // report it (free of MM boundary rounding).
@@ -73,43 +58,33 @@ double run_jobs(int nodes, int njobs, core::AppProgram program,
 // full-sim throughput floor (--min-node-events-per-s +
 // BENCH_fullsim.json) is measured on. Flag-gated so the default
 // stdout stays byte-identical to the goldens.
-void run_scale_point(int nodes, sim::SimTime work,
-                     bench::BenchJsonExport& bx) {
+void run_scale_point(bench::Harness& h, int nodes, sim::SimTime work) {
   sim::Simulator sim(0xF16'05ULL);
   core::ClusterConfig cfg = core::ClusterConfig::es40(nodes);
   cfg.app_cpus_per_node = 2;
   cfg.storm.quantum = 50_ms;
   cfg.storm.max_mpl = 2;
   core::Cluster cluster(sim, cfg);
+  h.attach(cluster);
   const int npes = 2 * std::min(nodes, 128);
   cluster.submit({.name = "scale",
                   .binary_size = 4_MB,
                   .npes = npes,
                   .program = apps::synthetic_computation(work)});
   const bool done = cluster.run_until_all_complete(3600_sec);
-  bx.record_run(nodes, sim.events_executed());
+  h.capture(cluster);
   std::printf("scale point: %d nodes, %d PEs, %llu engine events%s\n", nodes,
               npes, static_cast<unsigned long long>(sim.events_executed()),
               done ? "" : " (TIMED OUT)");
 }
 
-int parse_scale_nodes(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view(argv[i]) == "--scale-nodes") {
-      return std::atoi(argv[i + 1]);
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool fast = bench::fast_mode(argc, argv);
-  bench::MetricsExport mx(argc, argv);
-  bench::TraceExport tx(argc, argv);
-  bench::StateExport sx(argc, argv);
-  bench::BenchJsonExport bx(argc, argv, "fig05");
+  bench::Harness h(
+      argc, argv, "fig05",
+      {bench::kJobsFlag, {"--scale-nodes", bench::Flag::Arg::Count}});
+  const bool fast = h.fast();
 
   apps::Sweep3DParams sweep;
   // Compute budget chosen so the end-to-end runtime including the
@@ -125,40 +100,28 @@ int main(int argc, char** argv) {
                   "synth_mpl2"});
   t.print_header();
   // One sweep point per node count, evaluated on the --jobs pool and
-  // committed in order (see fig04 for the determinism argument).
+  // committed in order (bench/harness.hpp).
   const int node_counts[] = {1, 2, 4, 8, 16, 32, 64};
   struct Row {
     double s1, s2, c1, c2;
-    telemetry::MetricsRegistry metrics;
-    telemetry::TimeSeriesStore series;   // merged in-run, committed serially
-    bench::TraceExport::Snapshot trace;  // last run of the point
-    bench::StateExport::Snapshot state;  // last run of the point
+    bench::Point point;
   };
-  const bench::SweepRunner runner(argc, argv);
+  const bench::SweepRunner runner(h.jobs());
   runner.run(
       std::size(node_counts),
       [&](std::size_t ni) {
         const int nodes = node_counts[ni];
         Row row;
-        row.s1 = run_jobs(nodes, 1, apps::sweep3d(sweep), mx,
-                          row.metrics, row.series, tx, &row.trace, sx,
-                          &row.state, bx);
-        row.s2 = run_jobs(nodes, 2, apps::sweep3d(sweep), mx,
-                          row.metrics, row.series, tx, &row.trace, sx,
-                          &row.state, bx);
-        row.c1 = run_jobs(nodes, 1, apps::synthetic_computation(synth_work),
-                          mx, row.metrics, row.series, tx, &row.trace, sx,
-                          &row.state, bx);
-        row.c2 = run_jobs(nodes, 2, apps::synthetic_computation(synth_work),
-                          mx, row.metrics, row.series, tx, &row.trace, sx,
-                          &row.state, bx);
+        row.s1 = run_jobs(h, row.point, nodes, 1, apps::sweep3d(sweep));
+        row.s2 = run_jobs(h, row.point, nodes, 2, apps::sweep3d(sweep));
+        row.c1 = run_jobs(h, row.point, nodes, 1,
+                          apps::synthetic_computation(synth_work));
+        row.c2 = run_jobs(h, row.point, nodes, 2,
+                          apps::synthetic_computation(synth_work));
         return row;
       },
       [&](std::size_t ni, Row& row) {
-        mx.collect(row.metrics);
-        mx.collect_series(row.series);
-        tx.adopt(std::move(row.trace));
-        sx.adopt(std::move(row.state));
+        h.commit(std::move(row.point));
         t.cell(node_counts[ni]);
         t.cell(row.s1, 2);
         t.cell(row.s2, 2);
@@ -167,13 +130,8 @@ int main(int argc, char** argv) {
         t.end_row();
       });
   std::printf("\n(seconds; weak scaling: 2 PEs per node)\n");
-  if (const int scale_nodes = parse_scale_nodes(argc, argv);
-      scale_nodes > 0) {
-    run_scale_point(scale_nodes, fast ? 5_sec : 25_sec, bx);
+  if (const double scale_nodes = h.number("--scale-nodes"); scale_nodes > 0) {
+    run_scale_point(h, static_cast<int>(scale_nodes), fast ? 5_sec : 25_sec);
   }
-  int rc = mx.write();
-  tx.write();
-  rc |= bx.write();
-  sx.write();  // last: `--state -` appends the snapshot to stdout
-  return rc;
+  return h.finish();
 }

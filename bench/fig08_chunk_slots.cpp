@@ -7,6 +7,7 @@
 // do not help because the larger footprint generates NIC-TLB misses;
 // small chunks pay per-chunk overheads.
 #include "bench/common.hpp"
+#include "bench/harness.hpp"
 #include "storm/cluster.hpp"
 
 namespace {
@@ -15,21 +16,18 @@ using namespace storm;
 using namespace storm::sim::time_literals;
 using namespace storm::sim::byte_literals;
 
-double send_time_ms(sim::Bytes chunk, int slots, bench::MetricsExport& mx,
-                    bench::TraceExport& tx) {
+double send_time_ms(bench::Harness& h, sim::Bytes chunk, int slots) {
   sim::Simulator sim(0xF16'08ULL);
   core::ClusterConfig cfg = core::ClusterConfig::es40(64);
   cfg.storm.quantum = 1_ms;
   cfg.storm.chunk_size = chunk;
   cfg.storm.slots = slots;
   core::Cluster cluster(sim, cfg);
-  if (mx.enabled()) cluster.enable_fabric_metrics();
-  if (tx.enabled()) cluster.enable_tracing();
+  h.attach(cluster);
   const auto id =
       cluster.submit({.name = "noop", .binary_size = 12_MB, .npes = 256});
   const bool done = cluster.run_until_all_complete(600_sec);
-  mx.collect(cluster.metrics());
-  if (tx.enabled()) tx.collect(cluster.tracer()->buffer());
+  h.capture(cluster);
   if (!done) return -1.0;
   return cluster.job(id).times().send_time().to_millis();
 }
@@ -37,8 +35,7 @@ double send_time_ms(sim::Bytes chunk, int slots, bench::MetricsExport& mx,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::MetricsExport mx(argc, argv);
-  bench::TraceExport tx(argc, argv);
+  bench::Harness h(argc, argv, "fig08");
   bench::banner("Figure 8 — send time vs chunk size and slot count",
                 "12 MB on 64 nodes; paper optimum: 4 slots x 512 KB "
                 "(~92-96 ms), almost slot-insensitive, TLB penalty at "
@@ -49,12 +46,10 @@ int main(int argc, char** argv) {
   for (int kb : {32, 64, 128, 256, 512, 1024}) {
     t.cell(kb);
     for (int slots : {2, 4, 8, 16}) {
-      t.cell(send_time_ms(static_cast<sim::Bytes>(kb) * 1024, slots, mx, tx));
+      t.cell(send_time_ms(h, static_cast<sim::Bytes>(kb) * 1024, slots));
     }
     t.end_row();
   }
   std::printf("\n(ms)\n");
-  mx.write();
-  tx.write();
-  return 0;
+  return h.finish();
 }

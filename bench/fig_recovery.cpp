@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "bench/state_export.hpp"
+#include "bench/harness.hpp"
 #include "fabric/fault_campaign.hpp"
 #include "fabric/trace_replay.hpp"
 #include "fabric/trace_sink.hpp"
@@ -116,20 +116,16 @@ std::vector<core::JobId> submit_workload(core::Cluster& cluster, bool fast) {
   return jobs;
 }
 
-RunResult run_campaign(Scenario scenario, std::uint64_t seed, bool fast,
-                       storm::bench::MetricsExport& mx,
-                       storm::bench::TraceExport& tx,
-                       storm::bench::StateExport& sx,
-                       storm::bench::BenchJsonExport& bx,
-                       bool check_inv) {
+RunResult run_campaign(storm::bench::Harness& h, Scenario scenario,
+                       std::uint64_t seed) {
+  const bool check_inv = h.has("--check-invariants");
   sim::Simulator sim(seed);
   const core::ClusterConfig cfg = recovery_config(replicated(scenario));
   core::Cluster cluster(sim, cfg);
   // Fabric metrics give the msgclass-reconcile invariant something to
   // check, so --check-invariants always turns them on.
-  if (mx.enabled() || check_inv) cluster.enable_fabric_metrics();
-  if (mx.ts_enabled()) cluster.enable_timeseries(mx.ts_options());
-  if (tx.enabled()) cluster.enable_tracing();
+  if (check_inv) cluster.enable_fabric_metrics();
+  h.attach(cluster);
   // Re-run the whole invariant registry at every recovery epoch (one
   // strobe quantum): the probe sees the cluster mid-crash, mid-requeue
   // and mid-rejoin, not just at the quiesced end state. Probe reads
@@ -207,7 +203,7 @@ RunResult run_campaign(Scenario scenario, std::uint64_t seed, bool fast,
   hooks.crash_primary_mm = [&] { cluster.crash_mm(); };
   campaign.arm(sim, &cluster.fabric(), std::move(hooks));
 
-  const std::vector<core::JobId> jobs = submit_workload(cluster, fast);
+  const std::vector<core::JobId> jobs = submit_workload(cluster, h.fast());
 
   RunResult r;
   r.all_done = cluster.run_until_all_complete(600_sec);
@@ -223,8 +219,8 @@ RunResult run_campaign(Scenario scenario, std::uint64_t seed, bool fast,
     return c ? c->value() : 0;
   };
   auto hmean_ms = [&](const char* n) {
-    const telemetry::Histogram* h = m.find_histogram(n);
-    return h != nullptr && h->count() > 0 ? h->mean() * 1e-6 : 0.0;
+    const telemetry::Histogram* hist = m.find_histogram(n);
+    return hist != nullptr && hist->count() > 0 ? hist->mean() * 1e-6 : 0.0;
   };
   r.kills = cval("mm.recovery.kills");
   r.requeues = cval("mm.recovery.requeues");
@@ -238,11 +234,7 @@ RunResult run_campaign(Scenario scenario, std::uint64_t seed, bool fast,
     r.stale_aborts = g->stale_aborts();
   }
   r.trace = sink->bytes();
-  mx.collect(m);
-  if (mx.ts_enabled()) mx.collect_series(cluster.timeseries()->snapshot());
-  if (tx.enabled()) tx.collect(cluster.tracer()->buffer());
-  sx.collect(cluster);
-  bx.record_run(cfg.nodes, sim.events_executed());
+  h.capture(cluster);
   if (probe.has_value()) {
     probe->disarm();
     r.inv_checks = probe->checks();
@@ -294,15 +286,11 @@ bool replay_reproduces(const std::vector<std::uint8_t>& recorded,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool fast = storm::bench::fast_mode(argc, argv);
-  bool check_inv = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check-invariants") == 0) check_inv = true;
-  }
-  storm::bench::MetricsExport mx(argc, argv);
-  storm::bench::TraceExport tx(argc, argv);
-  storm::bench::StateExport sx(argc, argv);
-  storm::bench::BenchJsonExport bx(argc, argv, "fig_recovery");
+  using storm::bench::Flag;
+  storm::bench::Harness h(argc, argv, "fig_recovery",
+                          {{"--check-invariants"},
+                           {"--max-failover-gap-ms", Flag::Arg::Number}});
+  const bool check_inv = h.has("--check-invariants");
 
   storm::bench::banner(
       "Recovery — fault campaign over a gang-scheduled workload",
@@ -325,8 +313,8 @@ int main(int argc, char** argv) {
                            Scenario::ReplLeaderCrash,
                            Scenario::ReplSplitBrain}) {
     const std::uint64_t seed = 0x57'04'2002ULL;
-    const RunResult a = run_campaign(s, seed, fast, mx, tx, sx, bx, check_inv);
-    const RunResult b = run_campaign(s, seed, fast, mx, tx, sx, bx, check_inv);
+    const RunResult a = run_campaign(h, s, seed);
+    const RunResult b = run_campaign(h, s, seed);
     const bool identical = !a.trace.empty() && a.trace == b.trace &&
                            a.finished == b.finished;
     all_ok = all_ok && a.all_done && identical && a.aborted == 0;
@@ -386,16 +374,15 @@ int main(int argc, char** argv) {
       standby_gap_ms, repl_gap_ms,
       repl_gap_ms > 0 ? standby_gap_ms / repl_gap_ms : 0.0,
       standby_resume_ms, repl_resume_ms);
-  bx.record_value("mm.failover.gap_ns.standby", standby_gap_ms * 1e6);
-  bx.record_value("mm.failover.resume_ns.standby", standby_resume_ms * 1e6);
-  bx.record_value("mm.failover.gap_ns.repl", repl_gap_ms * 1e6);
-  bx.record_value("mm.failover.resume_ns.repl", repl_resume_ms * 1e6);
+  h.value("mm.failover.gap_ns.standby", standby_gap_ms * 1e6);
+  h.value("mm.failover.resume_ns.standby", standby_resume_ms * 1e6);
+  h.value("mm.failover.gap_ns.repl", repl_gap_ms * 1e6);
+  h.value("mm.failover.resume_ns.repl", repl_resume_ms * 1e6);
   all_ok = all_ok && standby_gap_ms > 0 && repl_gap_ms > 0 &&
            repl_gap_ms < standby_gap_ms;
 
   // `--max-failover-gap-ms <ms>`: CI budget on the quorum-lease gap.
-  const double max_gap_ms =
-      storm::bench::budget_flag(argc, argv, "--max-failover-gap-ms");
+  const double max_gap_ms = h.number("--max-failover-gap-ms");
   bool budget_breach = false;
   if (max_gap_ms > 0 && (repl_gap_ms <= 0 || repl_gap_ms > max_gap_ms)) {
     std::fprintf(stderr, "FAIL: quorum failover gap %.1f ms > budget %.1f ms\n",
@@ -406,13 +393,10 @@ int main(int argc, char** argv) {
   // Phase 4: the recorded node-crash run replays from its own sink
   // stream alone — schedule reconstruction via the Fault notes.
   const bool replay_ok =
-      replay_reproduces(recorded, 0x57'04'2002ULL, fast);
+      replay_reproduces(recorded, 0x57'04'2002ULL, h.fast());
   all_ok = all_ok && replay_ok;
 
-  const int mx_rc = mx.write();
-  tx.write();
-  const int bench_rc = bx.write();
-  sx.write();  // last: `--state -` appends the snapshot to stdout
+  const int rc = h.finish();
   if (!all_ok) {
     std::fprintf(stderr,
                  "FAIL: a campaign left work unfinished, aborted a job, "
@@ -420,5 +404,5 @@ int main(int argc, char** argv) {
                  "or failed to replay\n");
     return 1;
   }
-  return budget_breach ? 1 : (bench_rc | mx_rc);
+  return budget_breach ? 1 : rc;
 }

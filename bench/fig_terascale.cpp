@@ -11,20 +11,18 @@
 // object to a handful of plane words, which is what lets one process
 // sweep 1k → 64k nodes.
 //
-// Outputs:
-//   stdout             deterministic tables (launch curve, quantum curve)
-//   --bench-json PATH  machine-readable curves + peak RSS + wall time +
-//                      engine-event totals and nodes×events/s throughput
-//   --max-rss-mb N     fail (exit 1) if peak RSS exceeds the budget
-//   --max-wall-s N     fail (exit 1) if wall time exceeds the budget
-//   --min-node-events-per-s N  fail (exit 1) below the throughput floor
-//   --fast             4k-node ceiling (CI smoke); full mode: 64k
-#include <chrono>
+// stdout carries the deterministic tables (launch curve, quantum
+// curve). Beyond the flags every harness takes (bench/harness.hpp),
+// `--max-rss-mb N` and `--max-wall-s N` fail the run (exit 1) over
+// budget; `--bench-json` records every curve point and the feasible
+// quantum as storm.bench.v1 "values". `--fast` stops at 4k nodes (CI
+// smoke); the full sweep reaches 64k.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/harness.hpp"
 #include "storm/cluster.hpp"
 
 namespace {
@@ -47,32 +45,16 @@ struct LaunchPoint {
   double launch_ms;
 };
 
-/// Engine-event totals across every run, feeding the ROADMAP-flagged
-/// nodes×events/s throughput number in the --bench-json record.
-struct Throughput {
-  std::uint64_t events = 0;
-  std::uint64_t node_events = 0;  // Σ run-nodes × run-events
-
-  void record(int nodes, std::uint64_t run_events) {
-    events += run_events;
-    node_events += static_cast<std::uint64_t>(nodes) * run_events;
-  }
-};
-
-LaunchPoint launch_curve_point(int nodes, Throughput& tp,
-                               bench::MetricsExport& mx) {
+LaunchPoint launch_curve_point(bench::Harness& h, int nodes) {
   sim::Simulator sim;
   core::Cluster cluster(sim, terascale_config(nodes));
-  if (mx.enabled()) cluster.enable_fabric_metrics();
-  if (mx.ts_enabled()) cluster.enable_timeseries(mx.ts_options());
+  h.attach(cluster);
   const core::JobId id =
       cluster.submit({.name = "noop",
                       .binary_size = 12_MB,
                       .npes = nodes * cluster.config().app_cpus_per_node});
   const bool done = cluster.run_until_all_complete(600_sec);
-  tp.record(nodes, sim.events_executed());
-  mx.collect(cluster.metrics());
-  if (mx.ts_enabled()) mx.collect_series(cluster.timeseries()->snapshot());
+  h.capture(cluster);
   const auto& t = cluster.job(id).times();
   return LaunchPoint{nodes, done ? t.send_time().to_millis() : -1.0,
                      done ? t.execute_time().to_millis() : -1.0,
@@ -85,16 +67,14 @@ struct QuantumPoint {
   double slowdown_pct;
 };
 
-QuantumPoint quantum_point(int nodes, sim::SimTime quantum,
-                           sim::SimTime work, Throughput& tp,
-                           bench::MetricsExport& mx) {
+QuantumPoint quantum_point(bench::Harness& h, int nodes, sim::SimTime quantum,
+                           sim::SimTime work) {
   sim::Simulator sim;
   core::ClusterConfig cfg = terascale_config(nodes);
   cfg.storm.quantum = quantum;
   cfg.storm.max_mpl = 2;
   core::Cluster cluster(sim, cfg);
-  if (mx.enabled()) cluster.enable_fabric_metrics();
-  if (mx.ts_enabled()) cluster.enable_timeseries(mx.ts_options());
+  h.attach(cluster);
   std::vector<core::JobId> ids;
   for (int j = 0; j < 2; ++j) {
     ids.push_back(
@@ -104,9 +84,7 @@ QuantumPoint quantum_point(int nodes, sim::SimTime quantum,
                         .plane_work = work}));
   }
   const bool done = cluster.run_until_all_complete(3600_sec);
-  tp.record(nodes, sim.events_executed());
-  mx.collect(cluster.metrics());
-  if (mx.ts_enabled()) mx.collect_series(cluster.timeseries()->snapshot());
+  h.capture(cluster);
   if (!done) return QuantumPoint{quantum.to_millis(), -1.0, -1.0};
   sim::SimTime first = sim::SimTime::max(), last = sim::SimTime::zero();
   for (const auto id : ids) {
@@ -122,14 +100,11 @@ QuantumPoint quantum_point(int nodes, sim::SimTime quantum,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto t_start = std::chrono::steady_clock::now();
-  const bool fast = bench::fast_mode(argc, argv);
-  const char* json_path = bench::parse_out_path(argc, argv, "--bench-json");
-  const double max_rss_mb = bench::budget_flag(argc, argv, "--max-rss-mb");
-  const double max_wall_s = bench::budget_flag(argc, argv, "--max-wall-s");
-  const double min_nodes_evps =
-      bench::budget_flag(argc, argv, "--min-node-events-per-s");
-  bench::MetricsExport mx(argc, argv);
+  using bench::Flag;
+  bench::Harness h(argc, argv, "fig_terascale",
+                   {{"--max-rss-mb", Flag::Arg::Number},
+                    {"--max-wall-s", Flag::Arg::Number}});
+  const bool fast = h.fast();
 
   bench::banner(
       "Terascale — launch time and feasible quantum to 64k nodes",
@@ -143,11 +118,18 @@ int main(int argc, char** argv) {
   std::printf("Launch of a do-nothing 12 MB binary (4 PEs/node):\n\n");
   bench::Table lt({"nodes", "send_ms", "execute_ms", "launch_ms"});
   lt.print_header();
-  Throughput tp;
-  std::vector<LaunchPoint> launches;
+  int rc = 0;
   for (const int n : node_counts) {
-    launches.push_back(launch_curve_point(n, tp, mx));
-    const LaunchPoint& p = launches.back();
+    const LaunchPoint p = launch_curve_point(h, n);
+    const std::string key = "launch." + std::to_string(n) + ".";
+    h.value(key + "send_ms", p.send_ms);
+    h.value(key + "execute_ms", p.execute_ms);
+    h.value(key + "launch_ms", p.launch_ms);
+    if (p.launch_ms < 0) {
+      std::fprintf(stderr, "terascale: FAIL launch at %d nodes timed out\n",
+                   n);
+      rc = 1;
+    }
     lt.cell(p.nodes);
     lt.cell(p.send_ms, 1);
     lt.cell(p.execute_ms, 1);
@@ -167,12 +149,15 @@ int main(int argc, char** argv) {
   bench::Table qt({"quantum_ms", "runtime_s", "slowdown_%"});
   qt.print_header();
   const double quanta_ms[] = {0.5, 1.0, 2.0, 5.0, 10.0, 50.0};
-  std::vector<QuantumPoint> quanta;
+  h.value("quantum.nodes", fq_nodes);
   double feasible_ms = -1;
   for (const double q : quanta_ms) {
-    quanta.push_back(
-        quantum_point(fq_nodes, sim::SimTime::millis(q), work, tp, mx));
-    const QuantumPoint& p = quanta.back();
+    const QuantumPoint p =
+        quantum_point(h, fq_nodes, sim::SimTime::millis(q), work);
+    char key[32];
+    std::snprintf(key, sizeof key, "quantum.%g.", q);
+    h.value(std::string(key) + "runtime_s", p.runtime_s);
+    h.value(std::string(key) + "slowdown_pct", p.slowdown_pct);
     if (feasible_ms < 0 && p.slowdown_pct >= 0 && p.slowdown_pct <= 2.0) {
       feasible_ms = p.quantum_ms;
     }
@@ -184,85 +169,10 @@ int main(int argc, char** argv) {
   std::printf("\nfeasible quantum (slowdown <= 2%%) at %d nodes: %.1f ms\n",
               fq_nodes, feasible_ms);
 
-  // --- budgets & machine-readable export --------------------------------
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    t_start)
-          .count();
-  const double rss_mb = bench::peak_rss_mb();
-  const double node_evps =
-      wall_s > 0 ? static_cast<double>(tp.node_events) / wall_s : 0.0;
-  std::fprintf(stderr,
-               "terascale: peak RSS %.1f MB, wall %.1f s, "
-               "%.3g node-events/s\n",
-               rss_mb, wall_s, node_evps);
-
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "--bench-json: cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"schema\": \"storm.terascale.v1\",\n");
-    std::fprintf(f, "  \"fast\": %s,\n", fast ? "true" : "false");
-    std::fprintf(f, "  \"launch_curve\": [\n");
-    for (std::size_t i = 0; i < launches.size(); ++i) {
-      const LaunchPoint& p = launches[i];
-      std::fprintf(f,
-                   "    {\"nodes\": %d, \"send_ms\": %.3f, \"execute_ms\": "
-                   "%.3f, \"launch_ms\": %.3f}%s\n",
-                   p.nodes, p.send_ms, p.execute_ms, p.launch_ms,
-                   i + 1 < launches.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"quantum_curve_nodes\": %d,\n", fq_nodes);
-    std::fprintf(f, "  \"quantum_curve\": [\n");
-    for (std::size_t i = 0; i < quanta.size(); ++i) {
-      const QuantumPoint& p = quanta[i];
-      std::fprintf(f,
-                   "    {\"quantum_ms\": %.3f, \"runtime_s\": %.4f, "
-                   "\"slowdown_pct\": %.3f}%s\n",
-                   p.quantum_ms, p.runtime_s, p.slowdown_pct,
-                   i + 1 < quanta.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"feasible_quantum_ms\": %.3f,\n", feasible_ms);
-    std::fprintf(f, "  \"events\": %llu,\n",
-                 static_cast<unsigned long long>(tp.events));
-    std::fprintf(f, "  \"node_events\": %llu,\n",
-                 static_cast<unsigned long long>(tp.node_events));
-    std::fprintf(f, "  \"node_events_per_s\": %.1f,\n", node_evps);
-    std::fprintf(f, "  \"peak_rss_mb\": %.1f,\n  \"wall_s\": %.2f\n}\n",
-                 rss_mb, wall_s);
-    std::fclose(f);
-    std::fprintf(stderr, "terascale: wrote %s\n", json_path);
-  }
-
-  int rc = mx.write();
-  if (max_rss_mb > 0 && rss_mb > max_rss_mb) {
-    std::fprintf(stderr, "terascale: FAIL peak RSS %.1f MB > budget %.1f MB\n",
-                 rss_mb, max_rss_mb);
-    rc = 1;
-  }
-  if (max_wall_s > 0 && wall_s > max_wall_s) {
-    std::fprintf(stderr, "terascale: FAIL wall %.1f s > budget %.1f s\n",
-                 wall_s, max_wall_s);
-    rc = 1;
-  }
-  if (min_nodes_evps > 0 && node_evps < min_nodes_evps) {
-    std::fprintf(stderr,
-                 "terascale: FAIL %.3g node-events/s < budget %.3g\n",
-                 node_evps, min_nodes_evps);
-    rc = 1;
-  }
+  h.value("feasible_quantum_ms", feasible_ms);
   if (feasible_ms < 0) {
     std::fprintf(stderr, "terascale: FAIL no feasible quantum found\n");
     rc = 1;
   }
-  for (const auto& p : launches) {
-    if (p.launch_ms < 0) {
-      std::fprintf(stderr, "terascale: FAIL launch at %d nodes timed out\n",
-                   p.nodes);
-      rc = 1;
-    }
-  }
-  return rc;
+  return h.finish() | rc;
 }

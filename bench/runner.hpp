@@ -2,15 +2,13 @@
 //
 // Every figure/table harness is a sweep: N independent points
 // (quantum values, node counts, ...), each owning its Simulator,
-// Cluster and MetricsRegistry, connected only by the order in which
-// rows are printed and registries merged. SweepRunner exploits that:
-// points evaluate on a `--jobs N` thread pool while commits — the
-// printing and the `MetricsExport::collect` merge — run on the
-// calling thread strictly in point-index order. A `--jobs 4` run
-// therefore produces stdout and `--metrics` JSON byte-identical to a
-// serial run (CI diffs the two); the only shared mutable state across
-// points is the process-wide sim::Tracer singleton, which is
-// thread-safe (src/sim/trace.hpp).
+// Cluster and captured bench::Point, connected only by the order in
+// which rows are printed and points committed. SweepRunner exploits
+// that: points evaluate on a `--jobs N` thread pool while commits —
+// the printing and `Harness::commit` — run on the calling thread
+// strictly in point-index order. A `--jobs 4` run therefore produces
+// stdout and every exported artifact byte-identical to a serial run
+// (CI diffs the two). Points share no mutable state.
 #pragma once
 
 #include <condition_variable>
@@ -23,17 +21,11 @@
 #include <utility>
 #include <vector>
 
-#include "bench/common.hpp"
-
 namespace storm::bench {
 
 class SweepRunner {
  public:
   explicit SweepRunner(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {}
-
-  /// Convenience: configure straight from `--jobs N` on the command
-  /// line.
-  SweepRunner(int argc, char** argv) : SweepRunner(jobs_flag(argc, argv)) {}
 
   int jobs() const { return jobs_; }
 

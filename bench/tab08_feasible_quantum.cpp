@@ -11,8 +11,8 @@
 #include "apps/synthetic.hpp"
 #include "baselines/gang_models.hpp"
 #include "bench/common.hpp"
+#include "bench/harness.hpp"
 #include "bench/runner.hpp"
-#include "bench/state_export.hpp"
 #include "storm/cluster.hpp"
 
 namespace {
@@ -21,23 +21,15 @@ using namespace storm;
 using namespace storm::sim::time_literals;
 using namespace storm::sim::byte_literals;
 
-double normalized_runtime(sim::SimTime quantum, sim::SimTime work,
-                          const bench::MetricsExport& mx,
-                          telemetry::MetricsRegistry& metrics_out,
-                          telemetry::TimeSeriesStore& series_out,
-                          const bench::TraceExport& tx,
-                          bench::TraceExport::Snapshot* trace_out,
-                          const bench::StateExport& sx,
-                          bench::StateExport::Snapshot* state_out) {
+double normalized_runtime(const bench::Harness& h, bench::Point& point,
+                          sim::SimTime quantum, sim::SimTime work) {
   sim::Simulator sim(0x7AB'08ULL);
   core::ClusterConfig cfg = core::ClusterConfig::es40(32);
   cfg.app_cpus_per_node = 2;
   cfg.storm.quantum = quantum;
   cfg.storm.max_mpl = 2;
   core::Cluster cluster(sim, cfg);
-  if (mx.enabled()) cluster.enable_fabric_metrics();
-  if (mx.ts_enabled()) cluster.enable_timeseries(mx.ts_options());
-  if (tx.enabled()) cluster.enable_tracing();
+  h.attach(cluster);
   std::vector<core::JobId> ids;
   for (int j = 0; j < 2; ++j) {
     ids.push_back(cluster.submit({.name = "synth",
@@ -46,10 +38,7 @@ double normalized_runtime(sim::SimTime quantum, sim::SimTime work,
                                   .program = apps::synthetic_computation(work)}));
   }
   const bool done = cluster.run_until_all_complete(3600_sec);
-  metrics_out.merge(cluster.metrics());
-  if (mx.ts_enabled()) series_out.merge(cluster.timeseries()->snapshot());
-  if (tx.enabled()) *trace_out = tx.snapshot(cluster.tracer()->buffer());
-  if (sx.enabled()) *state_out = sx.snapshot(cluster);
+  h.capture(cluster, point);
   if (!done) return -1.0;
   sim::SimTime first = sim::SimTime::max(), last = sim::SimTime::zero();
   for (auto id : ids) {
@@ -62,11 +51,8 @@ double normalized_runtime(sim::SimTime quantum, sim::SimTime work,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool fast = bench::fast_mode(argc, argv);
-  const sim::SimTime work = fast ? 3_sec : 20_sec;
-  bench::MetricsExport mx(argc, argv);
-  bench::TraceExport tx(argc, argv);
-  bench::StateExport sx(argc, argv);
+  bench::Harness h(argc, argv, "tab08", {bench::kJobsFlag});
+  const sim::SimTime work = h.fast() ? 3_sec : 20_sec;
 
   bench::banner("Table 8 — minimal feasible scheduling quantum",
                 "RMS 30 s / SCore-D 100 ms / STORM 2 ms at <= ~2% slowdown");
@@ -80,31 +66,23 @@ int main(int argc, char** argv) {
   double storm_feasible_ms = -1;
   // One sweep point per candidate quantum, evaluated on the --jobs
   // pool; the feasibility scan below depends on row order, so it
-  // lives in the in-order commit (see fig04 for the determinism
-  // argument).
+  // lives in the in-order commit (bench/harness.hpp).
   const double quanta_ms[] = {0.5, 1.0, 2.0, 5.0, 10.0, 50.0};
   struct Row {
     double runtime;
-    telemetry::MetricsRegistry metrics;
-    telemetry::TimeSeriesStore series;
-    bench::TraceExport::Snapshot trace;
-    bench::StateExport::Snapshot state;
+    bench::Point point;
   };
-  const bench::SweepRunner runner(argc, argv);
+  const bench::SweepRunner runner(h.jobs());
   runner.run(
       std::size(quanta_ms),
       [&](std::size_t qi) {
         Row row;
-        row.runtime = normalized_runtime(sim::SimTime::millis(quanta_ms[qi]),
-                                         work, mx, row.metrics, row.series,
-                                         tx, &row.trace, sx, &row.state);
+        row.runtime = normalized_runtime(
+            h, row.point, sim::SimTime::millis(quanta_ms[qi]), work);
         return row;
       },
       [&](std::size_t qi, Row& row) {
-        mx.collect(row.metrics);
-        mx.collect_series(row.series);
-        tx.adopt(std::move(row.trace));
-        sx.adopt(std::move(row.state));
+        h.commit(std::move(row.point));
         const double q_ms = quanta_ms[qi];
         const double slowdown = (row.runtime - baseline) / baseline * 100.0;
         if (storm_feasible_ms < 0 && slowdown <= 2.0) storm_feasible_ms = q_ms;
@@ -135,8 +113,5 @@ int main(int argc, char** argv) {
       "\n(STORM's quantum measured on the simulated cluster; two orders of"
       " magnitude\n below SCore-D, four below RMS — the paper's Table 8"
       " claim)\n");
-  const int rc = mx.write();
-  tx.write();
-  sx.write();  // last: `--state -` appends the snapshot to stdout
-  return rc;
+  return h.finish();
 }

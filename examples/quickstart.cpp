@@ -3,24 +3,19 @@
 // the experiment behind the paper's headline "110 ms" number.
 //
 //   $ ./examples/quickstart            # the headline experiment
-//   $ ./examples/quickstart --trace    # with a dæmon-level timeline
+//   $ ./examples/quickstart --trace    # plus the launch critical path
 #include <cstdio>
 #include <cstring>
 
-#include "sim/trace.hpp"
 #include "storm/cluster.hpp"
+#include "telemetry/tracing.hpp"
 
 using namespace storm;
 using namespace storm::sim::time_literals;
 using namespace storm::sim::byte_literals;
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) {
-      sim::Tracer::instance().enable("mm");
-      sim::Tracer::instance().enable("nm");
-    }
-  }
+  const bool trace = argc > 1 && std::strcmp(argv[1], "--trace") == 0;
   sim::Simulator sim;
 
   // The paper's testbed: 64 AlphaServer ES40 nodes (4 CPUs each),
@@ -28,6 +23,7 @@ int main(int argc, char** argv) {
   core::ClusterConfig cfg = core::ClusterConfig::es40(64);
   cfg.storm.quantum = 1_ms;
   core::Cluster cluster(sim, cfg);
+  if (trace) cluster.enable_tracing();
 
   std::printf("cluster: %d nodes x %d CPUs, QsNET cable %.0f m\n",
               cfg.nodes, cfg.cpus_per_node, cluster.network().cable_length_m());
@@ -54,6 +50,16 @@ int main(int argc, char** argv) {
   std::printf("  total launch:                    %8.2f ms\n",
               t.launch_time().to_millis());
   std::printf("\n(paper, Section 3.1.1: ~96 ms transfer, ~110 ms total)\n");
+
+  if (trace) {
+    // Where the launch spent its time: the causal spans of the job's
+    // first incarnation, walked back along the critical path.
+    std::printf("\nlaunch critical path:\n%s",
+                telemetry::format_critical_path(telemetry::analyze_launch(
+                    cluster.tracer()->buffer(),
+                    telemetry::job_trace_id(id, 0)))
+                    .c_str());
+  }
 
   std::printf("\nfabric traffic: %.1f MB broadcast, %.1f KB point-to-point\n",
               cluster.network().bytes_broadcast() / 1e6,

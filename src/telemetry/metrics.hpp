@@ -29,7 +29,6 @@
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 namespace storm::telemetry {
 
@@ -316,16 +315,6 @@ inline void update_overhead_ratio(MetricsRegistry& reg) {
   const double c = control ? static_cast<double>(control->value()) : 0.0;
   const double p = payload ? static_cast<double>(payload->value()) : 0.0;
   reg.gauge(kOverheadRatioGauge).set(c + p > 0.0 ? c / (c + p) : 0.0);
-}
-
-/// Route every emitted STORM_TRACE line into `reg` as a
-/// `trace.lines.<component>` counter, so trace volume itself is
-/// observable. The registry must outlive the hook; detach with
-/// `sim::Tracer::instance().set_line_observer({})`.
-inline void count_trace_lines(MetricsRegistry& reg) {
-  sim::Tracer::instance().set_line_observer([&reg](std::string_view comp) {
-    reg.counter(std::string("trace.lines.") += comp).add(1);
-  });
 }
 
 }  // namespace storm::telemetry

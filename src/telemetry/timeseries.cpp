@@ -572,9 +572,6 @@ void TimeSeriesRecorder::evaluate_watchdogs(std::int64_t w) {
     store_.breaches.push_back(
         {rule.spec, rule.metric, w, t_ns, v, rule.threshold});
     reg_.counter(kBreachCounterName).add(1);
-    STORM_TRACE(sim_, "watchdog",
-                "BREACH " + rule.spec + " (window " + std::to_string(w) +
-                    ", value " + std::to_string(v) + ")");
   }
 }
 

@@ -20,18 +20,18 @@
 // `dropped_windows`. A WatchdogRegistry of threshold/SLO rules (e.g.
 // "fabric.overhead.ratio > 0.01 for 3", "mm.failover.gap_ns p99 >
 // 5e7") is evaluated once per completed window and fires
-// deterministic, trace-stamped breach events ("watchdog" trace
-// component + `watchdog.breaches` counter) that `--watchdog-fail` can
-// turn into a nonzero harness exit.
+// deterministic breach events (a `breaches` record + the
+// `watchdog.breaches` counter) that `--watchdog-fail` can turn into a
+// nonzero harness exit.
 //
 // Determinism contract: everything is keyed to simulated time and the
 // registry's ordered maps, so same-seed runs serialise byte-identical
 // storm.timeseries.v1 documents. `snapshot()` is a pure read (the
 // in-progress tail window is diffed at call time without touching
 // recorder state), so parallel sweep workers can snapshot per-point
-// stores that the serial commit path merges in index order — the same
-// snapshot/adopt split the trace/state exports use — keeping the
-// export byte-identical across `--jobs N`.
+// stores that the serial commit path merges in index order (the
+// bench::Harness capture/commit split) — keeping the export
+// byte-identical across `--jobs N`.
 #pragma once
 
 #include <cstdint>
@@ -133,7 +133,7 @@ struct TimeSeriesOptions {
 
 /// The recorded document: per-series sparse window points plus fired
 /// breaches. Value type — copyable, mergeable, serialisable — so it
-/// can cross the SweepRunner snapshot/adopt boundary.
+/// can cross the SweepRunner capture/commit boundary.
 class TimeSeriesStore {
  public:
   std::int64_t window_ns = 0;

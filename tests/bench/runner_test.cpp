@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -155,9 +156,11 @@ TEST(SweepRunner, MoreJobsThanPoints) {
 
 TEST(SweepRunner, JobsFlagParsesAndDefaults) {
   const char* argv1[] = {"prog", "--jobs", "4"};
-  EXPECT_EQ(jobs_flag(3, const_cast<char**>(argv1)), 4);
+  EXPECT_EQ(Harness(3, const_cast<char**>(argv1), "test", {kJobsFlag}).jobs(),
+            4);
   const char* argv2[] = {"prog", "--fast"};
-  EXPECT_EQ(jobs_flag(2, const_cast<char**>(argv2)), 1);
+  EXPECT_EQ(Harness(2, const_cast<char**>(argv2), "test", {kJobsFlag}).jobs(),
+            1);
 }
 
 TEST(SweepRunner, ZeroPointsIsANoOp) {

@@ -161,32 +161,5 @@ TEST(OverheadRatio, ComputedFromByteCounters) {
   EXPECT_DOUBLE_EQ(reg.find_gauge(kOverheadRatioGauge)->value(), 0.1);
 }
 
-TEST(TraceLines, CountedPerComponent) {
-  sim::Simulator sim;
-  MetricsRegistry reg;
-  auto& tracer = sim::Tracer::instance();
-  tracer.disable_all();
-  tracer.enable("mm");
-  count_trace_lines(reg);
-
-  testing::internal::CaptureStderr();
-  STORM_TRACE(sim, "mm", "one");
-  STORM_TRACE(sim, "mm", "two");
-  STORM_TRACE(sim, "nm", "suppressed: component disabled");
-  testing::internal::GetCapturedStderr();
-
-  ASSERT_NE(reg.find_counter("trace.lines.mm"), nullptr);
-  EXPECT_EQ(reg.find_counter("trace.lines.mm")->value(), 2);
-  EXPECT_EQ(reg.find_counter("trace.lines.nm"), nullptr);
-
-  // Detached observer: no further counting.
-  tracer.set_line_observer({});
-  testing::internal::CaptureStderr();
-  STORM_TRACE(sim, "mm", "three");
-  testing::internal::GetCapturedStderr();
-  EXPECT_EQ(reg.find_counter("trace.lines.mm")->value(), 2);
-  tracer.disable_all();
-}
-
 }  // namespace
 }  // namespace storm::telemetry
