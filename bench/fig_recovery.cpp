@@ -11,6 +11,7 @@
 // jobs spanning them, shrinks in-flight multicast sets, and a hot
 // standby adopts the machine when the primary itself dies.
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -251,22 +252,30 @@ RunResult run_campaign(storm::bench::Harness& h, Scenario scenario,
 
 /// Replay round trip: feed a recorded run's sink stream back through
 /// TraceReplayer, re-arm the reconstructed fault schedule on a fresh
-/// same-seed cluster (with the lockstep drop middleware ahead of the
-/// new sink), and require the replay's sink stream to be byte-identical
-/// to the recording.
+/// same-seed cluster (with the lockstep replay rule ahead of the new
+/// sink), and require the replay's sink stream to be byte-identical to
+/// the recording.
 bool replay_reproduces(const std::vector<std::uint8_t>& recorded,
                        std::uint64_t seed, bool fast) {
-  const fabric::TraceReplayer replayer =
-      fabric::TraceReplayer::from_bytes(recorded);
+  std::string error;
+  const std::optional<fabric::TraceReplayer> replayer =
+      fabric::TraceReplayer::from_bytes(recorded, &error);
+  if (!replayer) {
+    std::fprintf(stderr, "replay: recorded stream rejected: %s\n",
+                 error.c_str());
+    return false;
+  }
 
   sim::Simulator sim(seed);
   core::Cluster cluster(sim, recovery_config(/*repl=*/false));
-  const std::shared_ptr<fabric::ReplayDrops> drops = replayer.middleware();
-  cluster.fabric().push(drops);
+  auto plan = std::make_shared<fabric::FaultPlan>(sim);
+  const std::size_t replay =
+      plan->add(fabric::FaultRule::replay(replayer->records()));
+  cluster.fabric().push(plan);
   auto sink = std::make_shared<fabric::StructuredTraceSink>(sim);
   cluster.fabric().push(sink);
 
-  fabric::FaultCampaign campaign = replayer.campaign();
+  fabric::FaultCampaign campaign = replayer->campaign();
   fabric::CampaignHooks hooks;
   hooks.crash_node = [&](int n) { cluster.crash_node(n); };
   hooks.recover_node = [&](int n) { cluster.recover_node(n); };
@@ -276,11 +285,12 @@ bool replay_reproduces(const std::vector<std::uint8_t>& recorded,
   submit_workload(cluster, fast);
   const bool done = cluster.run_until_all_complete(600_sec);
   const bool identical = sink->bytes() == recorded;
+  const fabric::FaultRule& drops = plan->rule(replay);
   std::printf("\nreplay: %zu recorded ops, %zu replayed, %zu mismatches -> "
               "%s\n",
-              replayer.records().size(), drops->position(),
-              drops->mismatches(), identical ? "byte-identical" : "DIVERGED");
-  return done && identical && drops->mismatches() == 0;
+              replayer->records().size(), drops.position(),
+              drops.mismatches(), identical ? "byte-identical" : "DIVERGED");
+  return done && identical && drops.mismatches() == 0;
 }
 
 }  // namespace

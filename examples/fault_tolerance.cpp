@@ -6,17 +6,17 @@
 // Part 1 kills two nodes at different times and reports the detection
 // latency of each.
 //
-// Part 2 uses the control-plane fabric's FaultInjector middleware
-// instead of killing hardware: gang-scheduling strobes are dropped
-// with probability 0.01, and two consecutive heartbeat deliveries to a
-// healthy node are swallowed. The detector tolerates a single late
-// epoch (the NM dæmon shares its CPU with application PEs), so one
-// lost heartbeat is absorbed — but two in a row are indistinguishable
-// from death and the node is isolated. The lost strobes are
-// *recovered* (each strobe carries the absolute matrix row, so the
-// next one resyncs and the jobs complete), and the whole faulty run is
-// deterministic: two executions with the same seed produce
-// byte-identical structured traces.
+// Part 2 uses the control-plane fabric's FaultPlan middleware instead
+// of killing hardware: a lossy rule drops gang-scheduling strobes with
+// probability 0.01, and drop-next rules swallow one heartbeat delivery
+// to node 5 and, from 300 ms on, two in a row to node 9. The detector
+// tolerates a single late epoch (the NM dæmon shares its CPU with
+// application PEs), so one lost heartbeat is absorbed — but two in a
+// row are indistinguishable from death and the node is isolated. The
+// lost strobes are *recovered* (each strobe carries the absolute
+// matrix row, so the next one resyncs and the jobs complete), and the
+// whole faulty run is deterministic: two executions with the same seed
+// produce byte-identical structured traces.
 //
 // Part 3 walks the full recovery lifecycle: a node dies mid-run, the
 // heartbeat declares it, the MM kills the gang spanning it, evicts the
@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "fabric/fault_injector.hpp"
+#include "fabric/fault_plan.hpp"
 #include "fabric/trace_sink.hpp"
 #include "storm/cluster.hpp"
 #include "storm/job.hpp"
@@ -115,19 +115,22 @@ FaultyRun run_injected_faults() {
   cluster.enable_fabric_metrics();
 
   // Middleware chain: inject faults, then record everything.
-  auto inject =
-      std::make_shared<fabric::FaultInjector>(sim.rng().fork(0xFAB51C));
-  inject->policy(fabric::MsgClass::Strobe).drop_prob = 0.01;
-  // One lost heartbeat to node 5 (forgiven), then two in a row to
-  // node 9 (declared dead). The injector holds one armed drop at a
-  // time, so the second target is armed after the first has fired.
-  inject->drop_next_delivery(fabric::MsgClass::Heartbeat, /*node=*/5);
-  sim.schedule_at(300_ms, [inject] {
-    inject->drop_next_delivery(fabric::MsgClass::Heartbeat, /*node=*/9,
-                               /*count=*/2);
-  });
+  using fabric::FaultRule;
+  using fabric::MsgClass;
+  auto plan =
+      std::make_shared<fabric::FaultPlan>(sim, sim.rng().fork(0xFAB51C));
+  const std::size_t strobe_loss =
+      plan->add(FaultRule::lossy(MsgClass::Strobe, 0.01));
+  // One lost heartbeat to node 5 (forgiven), then — armed from 300 ms
+  // on — two in a row to node 9 (declared dead).
+  const std::size_t hb_5 =
+      plan->add(FaultRule::drop_next(MsgClass::Heartbeat, /*node=*/5));
+  FaultRule two_to_9 =
+      FaultRule::drop_next(MsgClass::Heartbeat, /*node=*/9, /*n=*/2);
+  two_to_9.start = 300_ms;
+  const std::size_t hb_9 = plan->add(two_to_9);
   auto sink = std::make_shared<fabric::StructuredTraceSink>(sim);
-  cluster.fabric().push(inject);
+  cluster.fabric().push(plan);
   cluster.fabric().push(sink);
 
   FaultyRun out;
@@ -150,8 +153,9 @@ FaultyRun run_injected_faults() {
   sim.run(sim.now() + 200_ms);  // let the post-completion heartbeat settle
 
   out.completed = cluster.mm().completed_count();
-  out.strobes_dropped = inject->dropped(fabric::MsgClass::Strobe);
-  out.heartbeats_dropped = inject->dropped(fabric::MsgClass::Heartbeat);
+  out.strobes_dropped = plan->rule(strobe_loss).hits();
+  out.heartbeats_dropped =
+      plan->rule(hb_5).hits() + plan->rule(hb_9).hits();
   out.trace = sink->bytes();
   out.metrics = cluster.metrics();
   return out;
@@ -207,12 +211,12 @@ int part2_injected_faults() {
       a.trace.size() / fabric::kTraceRecordBytes, a.trace.size());
 
   // The fabric's metrics aggregator saw the same faults from the other
-  // side: its per-class drop counters must agree with the injector's.
+  // side: its per-class drop counter must agree with the rule's hits.
   const auto* strobe_drops = a.metrics.find_counter("fabric.strobe.dropped");
   if (strobe_drops == nullptr ||
       strobe_drops->value() != a.strobes_dropped) {
     std::fprintf(stderr, "FAIL: aggregator drop count disagrees with "
-                         "injector\n");
+                         "the strobe-loss rule\n");
     return 1;
   }
   std::printf("\ntelemetry snapshot of run A (fabric aggregator + dæmons):\n\n");

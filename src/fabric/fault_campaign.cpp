@@ -50,9 +50,9 @@ FaultCampaign FaultCampaign::seeded(sim::Rng rng, const SeedSpec& spec) {
   return c;
 }
 
-std::shared_ptr<PartitionSimulator> FaultCampaign::arm(sim::Simulator& sim,
-                                                       MechanismFabric* fabric,
-                                                       CampaignHooks hooks) {
+std::shared_ptr<FaultPlan> FaultCampaign::arm(sim::Simulator& sim,
+                                              MechanismFabric* fabric,
+                                              CampaignHooks hooks) {
   sort_events();
   // The hooks outlive the lambdas via shared ownership: one campaign
   // armed once may fire long after the FaultCampaign object is gone.
@@ -61,66 +61,36 @@ std::shared_ptr<PartitionSimulator> FaultCampaign::arm(sim::Simulator& sim,
     // A Fault note lands in the structured trace right before each hook
     // fires, making a recorded run's campaign self-describing: the
     // TraceReplayer reconstructs the schedule from these notes alone.
-    switch (ev.kind) {
-      case EventKind::CrashNode:
-        sim.schedule_at(ev.at, [shared, fabric, node = ev.node] {
-          if (fabric != nullptr) {
-            fabric->note(Component::None, node,
-                         ControlMessage::fault(
-                             static_cast<int>(EventKind::CrashNode), node));
-          }
-          if (shared->crash_node) shared->crash_node(node);
-        });
-        break;
-      case EventKind::RecoverNode:
-        sim.schedule_at(ev.at, [shared, fabric, node = ev.node] {
-          if (fabric != nullptr) {
-            fabric->note(Component::None, node,
-                         ControlMessage::fault(
-                             static_cast<int>(EventKind::RecoverNode), node));
-          }
-          if (shared->recover_node) shared->recover_node(node);
-        });
-        break;
-      case EventKind::CrashPrimaryMm:
-        sim.schedule_at(ev.at, [shared, fabric] {
-          if (fabric != nullptr) {
-            fabric->note(
-                Component::None, -1,
-                ControlMessage::fault(
-                    static_cast<int>(EventKind::CrashPrimaryMm), -1));
-          }
+    sim.schedule_at(ev.at, [shared, fabric, ev] {
+      if (fabric != nullptr) {
+        fabric->note(Component::None, ev.node,
+                     ControlMessage::fault(static_cast<int>(ev.kind), ev.node));
+      }
+      switch (ev.kind) {
+        case EventKind::CrashNode:
+          if (shared->crash_node) shared->crash_node(ev.node);
+          break;
+        case EventKind::RecoverNode:
+          if (shared->recover_node) shared->recover_node(ev.node);
+          break;
+        case EventKind::CrashPrimaryMm:
           if (shared->crash_primary_mm) shared->crash_primary_mm();
-        });
-        break;
-    }
+          break;
+      }
+    });
   }
-  // Asymmetric windows ride a dedicated FaultInjector whose rules are
-  // toggled by scheduled events — no Fault notes (same contract as the
-  // PartitionSimulator below: windows are config, not trace events)
-  // and no randomness (one-way rules never consult the RNG, so the
-  // seed here is inert).
-  if (!asym_.empty() && fabric != nullptr) {
-    injector_ = std::make_shared<FaultInjector>(sim::Rng{0});
-    for (const AsymWindow& w : asym_) {
-      const int id = injector_->add_one_way(w.from, w.to, w.classes);
-      injector_->set_one_way_enabled(id, false);
-      sim.schedule_at(w.start, [inj = injector_, id] {
-        inj->set_one_way_enabled(id, true);
-      });
-      sim.schedule_at(w.end, [inj = injector_, id] {
-        inj->set_one_way_enabled(id, false);
-      });
-    }
-    fabric->push(injector_);
+  // Windows are config, not trace events: no Fault notes, and a
+  // windowed rule checks sim.now() itself, so nothing is scheduled.
+  if (fabric == nullptr || (partitions_.empty() && one_way_.empty())) {
+    return nullptr;
   }
-  if (partitions_.empty() || fabric == nullptr) return nullptr;
-  auto ps = std::make_shared<PartitionSimulator>(sim);
+  auto plan = std::make_shared<FaultPlan>(sim);
   for (const PartitionWindow& w : partitions_) {
-    ps->partition(w.island, w.start, w.end);
+    plan->add(FaultRule::partition(w.island, w.start, w.end));
   }
-  fabric->push(ps);
-  return ps;
+  for (const FaultRule& r : one_way_) plan->add(r);
+  fabric->push(plan);
+  return plan;
 }
 
 }  // namespace storm::fabric

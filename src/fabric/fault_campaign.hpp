@@ -18,8 +18,7 @@
 #include <vector>
 
 #include "fabric/fabric.hpp"
-#include "fabric/fault_injector.hpp"
-#include "fabric/partition_simulator.hpp"
+#include "fabric/fault_plan.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -43,23 +42,12 @@ class FaultCampaign {
   struct Event {
     sim::SimTime at{};
     EventKind kind = EventKind::CrashNode;
-    int node = -1;  // unused for CrashPrimaryMm
+    int node = -1;  // -1 for CrashPrimaryMm
   };
   struct PartitionWindow {
     std::vector<int> island;
     sim::SimTime start{};
     sim::SimTime end{};
-  };
-  /// One-way cut: `from` can no longer reach `to` (the reverse
-  /// direction still delivers), optionally restricted to a set of
-  /// message classes. Split-brain campaigns use this to take a
-  /// leader's acks away without deafening it.
-  struct AsymWindow {
-    std::vector<int> from;
-    std::vector<int> to;
-    sim::SimTime start{};
-    sim::SimTime end{};
-    std::vector<MsgClass> classes;  // empty = every class
   };
 
   // --- scripted construction ---------------------------------------------
@@ -76,11 +64,14 @@ class FaultCampaign {
                  sim::SimTime end) {
     partitions_.push_back(PartitionWindow{std::move(island), start, end});
   }
-  void asym_partition(std::vector<int> from, std::vector<int> to,
+  /// One-way cut: `from` can no longer reach `to` (the reverse
+  /// direction still delivers), optionally restricted to a set of
+  /// message classes. Split-brain campaigns use this to take a
+  /// leader's acks away without deafening it.
+  void asym_partition(const std::vector<int>& from, const std::vector<int>& to,
                       sim::SimTime start, sim::SimTime end,
-                      std::vector<MsgClass> classes = {}) {
-    asym_.push_back(AsymWindow{std::move(from), std::move(to), start, end,
-                               std::move(classes)});
+                      const std::vector<MsgClass>& classes = {}) {
+    one_way_.push_back(FaultRule::one_way(from, to, classes, start, end));
   }
 
   // --- seeded construction -------------------------------------------------
@@ -100,12 +91,13 @@ class FaultCampaign {
   static FaultCampaign seeded(sim::Rng rng, const SeedSpec& spec);
 
   // --- installation --------------------------------------------------------
-  /// Schedule every event on `sim`. When partition windows exist, a
-  /// PartitionSimulator carrying them is pushed onto `fabric` and
-  /// returned (nullptr otherwise, or when `fabric` is null).
-  std::shared_ptr<PartitionSimulator> arm(sim::Simulator& sim,
-                                          MechanismFabric* fabric,
-                                          CampaignHooks hooks);
+  /// Schedule every event on `sim`. When partition or asymmetric
+  /// windows exist, one FaultPlan holding them as windowed rules
+  /// (partitions first, then asym windows, each in insertion order) is
+  /// pushed onto `fabric` and returned — nullptr otherwise, or when
+  /// `fabric` is null. The plan draws no randomness.
+  std::shared_ptr<FaultPlan> arm(sim::Simulator& sim, MechanismFabric* fabric,
+                                 CampaignHooks hooks);
 
   /// Events sorted by (time, kind, node) — the order arm() fires them.
   const std::vector<Event>& events() {
@@ -115,21 +107,13 @@ class FaultCampaign {
   const std::vector<PartitionWindow>& partitions() const {
     return partitions_;
   }
-  const std::vector<AsymWindow>& asym_partitions() const { return asym_; }
-  /// The injector arm() pushed to carry the asymmetric windows — null
-  /// until arm() runs, or when no asym windows exist. Harnesses read
-  /// its one_way_drops() to prove the cut actually bit.
-  std::shared_ptr<FaultInjector> one_way_injector() const {
-    return injector_;
-  }
 
  private:
   void sort_events();
 
   std::vector<Event> events_;
   std::vector<PartitionWindow> partitions_;
-  std::vector<AsymWindow> asym_;
-  std::shared_ptr<FaultInjector> injector_;
+  std::vector<FaultRule> one_way_;  // asym_partition() windows
 };
 
 }  // namespace storm::fabric

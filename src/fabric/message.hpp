@@ -12,9 +12,8 @@
 #pragma once
 
 #include <array>
-#include <cassert>
 #include <cstdint>
-#include <cstring>
+#include <optional>
 #include <string_view>
 
 #include "sim/units.hpp"
@@ -286,8 +285,11 @@ struct ControlMessage {
   /// Serialise into `out` (little-endian, fields in declaration order).
   /// Returns the number of bytes written; bytes past it are zeroed.
   std::size_t encode(WireImage& out) const;
-  /// Inverse of encode(). `n` must be >= wire_size of the tag byte.
-  static ControlMessage decode(const std::uint8_t* data, std::size_t n);
+  /// Inverse of encode(): reads the tag byte and exactly the payload
+  /// bytes its class uses. nullopt when `n` is 0, the tag names no
+  /// class, or `n` is shorter than that class's wire size.
+  static std::optional<ControlMessage> decode(const std::uint8_t* data,
+                                              std::size_t n);
 };
 
 static_assert(sizeof(ControlMessage) <= 32,
@@ -379,13 +381,12 @@ inline std::size_t ControlMessage::encode(WireImage& out) const {
   return wire_size();
 }
 
-inline ControlMessage ControlMessage::decode(const std::uint8_t* data,
-                                             std::size_t n) {
+inline std::optional<ControlMessage> ControlMessage::decode(
+    const std::uint8_t* data, std::size_t n) {
   using namespace detail;
-  assert(n >= 1);
+  if (n == 0 || data[0] >= kMsgClassCount) return std::nullopt;
   const auto cls = static_cast<MsgClass>(data[0]);
-  assert(n >= wire_size(cls) && "truncated control message");
-  (void)n;
+  if (n < wire_size(cls)) return std::nullopt;
   const std::uint8_t* p = data + 1;
   switch (cls) {
     case MsgClass::Generic:
@@ -426,7 +427,7 @@ inline ControlMessage ControlMessage::decode(const std::uint8_t* data,
                   static_cast<std::int32_t>(get_u32(p + 12)),
                   static_cast<std::int64_t>(get_u64(p + 16)));
   }
-  return generic();
+  return std::nullopt;
 }
 
 }  // namespace storm::fabric

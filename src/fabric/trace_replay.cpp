@@ -1,79 +1,57 @@
 #include "fabric/trace_replay.hpp"
 
-#include <algorithm>
+#include <limits>
 
 namespace storm::fabric {
 
 namespace {
 
-/// The operation kinds StructuredTraceSink records by default — the
-/// replay stream is filtered to exactly this set so the lockstep
-/// position matches the recording regardless of per-poll noise.
-constexpr bool replayed_kind(OpKind op) {
-  return op == OpKind::Xfer || op == OpKind::CompareAndWrite ||
-         op == OpKind::CommandMulticast || op == OpKind::CommandDeliver ||
-         op == OpKind::Note;
-}
-
-constexpr bool same_identity(const TraceRecord& r, const Envelope& e) {
-  return r.op == static_cast<std::uint8_t>(e.op) &&
-         r.cls == static_cast<std::uint8_t>(e.cls()) &&
-         r.src == e.src && r.dst_first == e.dsts.first &&
-         r.dst_count == e.dsts.count && r.a == e.msg.word_a() &&
-         r.b == e.msg.word_b();
+/// Why record `r` cannot come from StructuredTraceSink, or nullptr.
+const char* invalid(const TraceRecord& r) {
+  if (r.op >= kOpKindCount) return "unknown op kind";
+  if (r.cls >= kMsgClassCount) return "unknown message class";
+  if (r.component >= kComponentCount) return "unknown component";
+  if (r.op_kind() == OpKind::Note && r.msg_class() == MsgClass::Fault) {
+    if (r.a < 0 || r.a > static_cast<std::int64_t>(
+                             FaultCampaign::EventKind::CrashPrimaryMm)) {
+      return "unknown fault kind";
+    }
+    if (r.b < std::numeric_limits<int>::min() ||
+        r.b > std::numeric_limits<int>::max()) {
+      return "fault node out of range";
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
 
-ReplayDrops::ReplayDrops(std::vector<TraceRecord> script) {
-  script_.reserve(script.size());
-  for (const TraceRecord& r : script) {
-    if (replayed_kind(r.op_kind())) script_.push_back(r);
-  }
-}
-
-void ReplayDrops::apply(const Envelope& e, Action& a) {
-  if (!replayed_kind(e.op)) return;
-  if (pos_ >= script_.size()) {
-    ++mismatches_;  // replay produced more operations than recorded
-    return;
-  }
-  const TraceRecord& r = script_[pos_++];
-  if (!same_identity(r, e)) {
-    ++mismatches_;  // diverged: never drop on a guess
-    return;
-  }
-  if (r.dropped()) a.drop = true;
-}
-
-TraceReplayer TraceReplayer::from_bytes(
-    const std::vector<std::uint8_t>& bytes) {
+std::optional<TraceReplayer> TraceReplayer::from_bytes(
+    const std::vector<std::uint8_t>& bytes, std::string* error) {
+  using detail::get_u32;
+  using detail::get_u64;
   TraceReplayer rp;
-  auto get32 = [](const std::uint8_t* p) {
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-  };
-  auto get64 = [&get32](const std::uint8_t* p) {
-    return static_cast<std::uint64_t>(get32(p)) |
-           (static_cast<std::uint64_t>(get32(p + 4)) << 32);
-  };
   const std::size_t n = bytes.size() / kTraceRecordBytes;
   rp.records_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint8_t* p = bytes.data() + i * kTraceRecordBytes;
     TraceRecord r;
-    r.t_ns = static_cast<std::int64_t>(get64(p));
+    r.t_ns = static_cast<std::int64_t>(get_u64(p));
     r.op = p[8];
     r.cls = p[9];
     r.component = p[10];
     r.flags = p[11];
-    r.src = static_cast<std::int32_t>(get32(p + 12));
-    r.dst_first = static_cast<std::int32_t>(get32(p + 16));
-    r.dst_count = static_cast<std::int32_t>(get32(p + 20));
-    r.a = static_cast<std::int64_t>(get64(p + 24));
-    r.b = static_cast<std::int64_t>(get64(p + 32));
+    r.src = static_cast<std::int32_t>(get_u32(p + 12));
+    r.dst_first = static_cast<std::int32_t>(get_u32(p + 16));
+    r.dst_count = static_cast<std::int32_t>(get_u32(p + 20));
+    r.a = static_cast<std::int64_t>(get_u64(p + 24));
+    r.b = static_cast<std::int64_t>(get_u64(p + 32));
+    if (const char* why = invalid(r)) {
+      if (error != nullptr) {
+        *error = "record " + std::to_string(i) + ": " + why;
+      }
+      return std::nullopt;
+    }
     rp.records_.push_back(r);
   }
   return rp;
@@ -85,6 +63,7 @@ FaultCampaign TraceReplayer::campaign() const {
     if (r.op_kind() != OpKind::Note || r.msg_class() != MsgClass::Fault)
       continue;
     const auto at = sim::SimTime::ns(r.t_ns);
+    // from_bytes() admitted only known kinds and int-sized nodes.
     switch (static_cast<FaultCampaign::EventKind>(r.a)) {
       case FaultCampaign::EventKind::CrashNode:
         c.crash_node(static_cast<int>(r.b), at);
@@ -98,10 +77,6 @@ FaultCampaign TraceReplayer::campaign() const {
     }
   }
   return c;
-}
-
-std::shared_ptr<ReplayDrops> TraceReplayer::middleware() const {
-  return std::make_shared<ReplayDrops>(records_);
 }
 
 }  // namespace storm::fabric

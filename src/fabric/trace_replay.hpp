@@ -9,12 +9,12 @@
 //     hook fires, so the recorded stream is self-describing:
 //     campaign() rebuilds the exact schedule from those notes.
 //
-//   * The per-operation drop decisions. ReplayDrops walks the recorded
-//     stream in lockstep with the replay run's envelopes — the workload
-//     is deterministic, so operation N of the replay is operation N of
-//     the recording — and re-applies the recorded drop verdicts
-//     positionally. Mismatched envelopes (diverged replay) are counted,
-//     never dropped.
+//   * The per-operation drop decisions. FaultRule::replay(records())
+//     walks the recorded stream in lockstep with the replay run's
+//     envelopes — the workload is deterministic, so operation N of the
+//     replay is operation N of the recording — and re-applies the
+//     recorded drop verdicts positionally. Mismatched envelopes
+//     (diverged replay) are counted, never dropped.
 //
 // Limitation: the sink records *that* an operation was delayed or
 // duplicated, not by how much, so only drop decisions (and the fault
@@ -24,7 +24,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "fabric/fault_campaign.hpp"
@@ -32,41 +33,21 @@
 
 namespace storm::fabric {
 
-/// Middleware that re-applies recorded drop verdicts in lockstep.
-class ReplayDrops final : public Middleware {
- public:
-  explicit ReplayDrops(std::vector<TraceRecord> script);
-
-  std::string_view name() const override { return "replay-drops"; }
-  void apply(const Envelope& e, Action& a) override;
-
-  /// Envelopes whose identity did not match the recorded operation at
-  /// the same position (the replay diverged from the recording).
-  std::size_t mismatches() const { return mismatches_; }
-  /// Recorded operations consumed so far.
-  std::size_t position() const { return pos_; }
-
- private:
-  std::vector<TraceRecord> script_;  // recorded-kind records only
-  std::size_t pos_ = 0;
-  std::size_t mismatches_ = 0;
-};
-
 class TraceReplayer {
  public:
   /// Parse a StructuredTraceSink::bytes() image (40-byte records).
-  /// Trailing partial records are ignored.
-  static TraceReplayer from_bytes(const std::vector<std::uint8_t>& bytes);
+  /// Trailing partial records are ignored. A record whose op, class or
+  /// component byte names no known value, or a Fault note whose kind
+  /// is unknown or whose node does not fit an int, rejects the whole
+  /// stream: the result is nullopt and `error` (when given) names the
+  /// record and the reason.
+  static std::optional<TraceReplayer> from_bytes(
+      const std::vector<std::uint8_t>& bytes, std::string* error = nullptr);
 
   const std::vector<TraceRecord>& records() const { return records_; }
 
   /// Rebuild the fault schedule from the stream's Fault notes.
   FaultCampaign campaign() const;
-
-  /// Fresh lockstep drop-replay middleware over the recorded stream.
-  /// Push it *before* the replay run's own StructuredTraceSink so the
-  /// sink observes the re-applied verdicts.
-  std::shared_ptr<ReplayDrops> middleware() const;
 
  private:
   std::vector<TraceRecord> records_;

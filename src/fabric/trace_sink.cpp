@@ -97,30 +97,23 @@ std::size_t StructuredTraceSink::dropped_count(MsgClass c) const {
 }
 
 std::vector<std::uint8_t> StructuredTraceSink::bytes() const {
+  using detail::put_u32;
+  using detail::put_u64;
   linearize();  // serialise oldest-first regardless of ring state
-  std::vector<std::uint8_t> out;
-  out.reserve(records_.size() * kTraceRecordBytes);
-  auto put32 = [&out](std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
-  };
-  auto put64 = [&](std::uint64_t v) {
-    put32(static_cast<std::uint32_t>(v));
-    put32(static_cast<std::uint32_t>(v >> 32));
-  };
-  for (const auto& r : records_) {
-    put64(static_cast<std::uint64_t>(r.t_ns));
-    out.push_back(r.op);
-    out.push_back(r.cls);
-    out.push_back(r.component);
-    out.push_back(r.flags);
-    put32(static_cast<std::uint32_t>(r.src));
-    put32(static_cast<std::uint32_t>(r.dst_first));
-    put32(static_cast<std::uint32_t>(r.dst_count));
-    put64(static_cast<std::uint64_t>(r.a));
-    put64(static_cast<std::uint64_t>(r.b));
+  std::vector<std::uint8_t> out(records_.size() * kTraceRecordBytes);
+  std::uint8_t* p = out.data();
+  for (const auto& r : records_) {  // TraceReplayer::from_bytes inverts this
+    put_u64(p, static_cast<std::uint64_t>(r.t_ns));
+    p[8] = r.op;
+    p[9] = r.cls;
+    p[10] = r.component;
+    p[11] = r.flags;
+    put_u32(p + 12, static_cast<std::uint32_t>(r.src));
+    put_u32(p + 16, static_cast<std::uint32_t>(r.dst_first));
+    put_u32(p + 20, static_cast<std::uint32_t>(r.dst_count));
+    put_u64(p + 24, static_cast<std::uint64_t>(r.a));
+    put_u64(p + 32, static_cast<std::uint64_t>(r.b));
+    p += kTraceRecordBytes;
   }
   return out;
 }

@@ -1,6 +1,6 @@
-// Tests for the recovery-oriented fabric middleware — ReorderBuffer,
-// node-scoped FaultInjector silence, PartitionSimulator — and the
-// deterministic fault-campaign harness that drives them.
+// Tests for the recovery-oriented fault rules — reordered deliveries,
+// silenced nodes, one-way cuts, partitions — and the deterministic
+// fault-campaign harness that arms them.
 #include "fabric/fault_campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -8,9 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "fabric/fault_injector.hpp"
-#include "fabric/partition_simulator.hpp"
-#include "fabric/reorder_buffer.hpp"
+#include "fabric/fault_plan.hpp"
 #include "fabric/trace_sink.hpp"
 #include "storm/cluster.hpp"
 #include "storm/machine_manager.hpp"
@@ -40,7 +38,7 @@ ClusterConfig hb_config(int nodes) {
   return cfg;
 }
 
-// --- ReorderBuffer ---------------------------------------------------------
+// --- reordered deliveries -------------------------------------------------
 
 TEST(ReorderBuffer, CommandHandlingIsOrderInsensitive) {
   // Jitter every MM->NM delivery by up to 2 ms — strobes arrive out of
@@ -52,9 +50,9 @@ TEST(ReorderBuffer, CommandHandlingIsOrderInsensitive) {
   ClusterConfig cfg = hb_config(8);
   cfg.app_cpus_per_node = 2;
   Cluster cluster(sim, cfg);
-  auto reorder = std::make_shared<ReorderBuffer>(sim.rng().fork(0x0DDE));
-  reorder->set_window(2_ms);
-  cluster.fabric().push(reorder);
+  auto plan = std::make_shared<FaultPlan>(sim, sim.rng().fork(0x0DDE));
+  const std::size_t reorder = plan->add(FaultRule::reorder(2_ms));
+  cluster.fabric().push(plan);
 
   const JobId a = cluster.submit(
       {.binary_size = 1_MB, .npes = 16, .program = compute_program(500_ms)});
@@ -63,55 +61,56 @@ TEST(ReorderBuffer, CommandHandlingIsOrderInsensitive) {
   ASSERT_TRUE(cluster.run_until_all_complete(120_sec));
   EXPECT_EQ(cluster.job(a).state(), JobState::Completed);
   EXPECT_EQ(cluster.job(b).state(), JobState::Completed);
-  EXPECT_GT(reorder->perturbed(), 100);
+  EXPECT_GT(plan->rule(reorder).hits(), 100);
   EXPECT_TRUE(cluster.mm().failed_nodes().empty())
       << "reordered deliveries must not look like node death";
 }
 
 TEST(ReorderBuffer, ClassFilterRestrictsJitter) {
+  // Only strobe deliveries are held, and with no job nothing strobes:
+  // the heartbeat deliveries pass untouched.
   sim::Simulator sim;
   Cluster cluster(sim, hb_config(4));
-  auto reorder = std::make_shared<ReorderBuffer>(sim.rng().fork(0x0DDF));
-  reorder->set_window(1_ms);
-  for (int c = 0; c < kMsgClassCount; ++c) {
-    reorder->enable_class(static_cast<MsgClass>(c), false);
-  }
-  cluster.fabric().push(reorder);
+  auto plan = std::make_shared<FaultPlan>(sim, sim.rng().fork(0x0DDF));
+  plan->add(FaultRule::reorder(1_ms, {MsgClass::Strobe}));
+  cluster.fabric().push(plan);
   sim.run(1_sec);
-  EXPECT_EQ(reorder->perturbed(), 0);
+  EXPECT_EQ(plan->rule(0).hits(), 0);
+  EXPECT_GT(cluster.metrics().find_counter("mm.heartbeat.rounds")->value(), 0);
 }
 
-// --- node-scoped FaultInjector silence ------------------------------------
+// --- silenced nodes --------------------------------------------------------
 
 TEST(FaultInjectorSilence, SilencedNodeIsDeclaredDead) {
-  // The node's dæmons are alive, but the injector blacks out all its
+  // The node's dæmons are alive, but the plan blacks out all its
   // traffic: detection must declare it dead just the same.
   sim::Simulator sim;
   Cluster cluster(sim, hb_config(8));
-  auto inject = std::make_shared<FaultInjector>(sim.rng().fork(0x51EE));
-  cluster.fabric().push(inject);
+  auto plan = std::make_shared<FaultPlan>(sim);
+  cluster.fabric().push(plan);
   sim.run(300_ms);
   ASSERT_TRUE(cluster.mm().failed_nodes().empty());
-  inject->silence_node(5);
+  const std::size_t silent = plan->add(FaultRule::silence(5));
   sim.run(2_sec);
   EXPECT_EQ(cluster.mm().failed_nodes(), std::vector<int>{5});
-  EXPECT_GT(inject->silence_drops(), 0);
-  EXPECT_TRUE(inject->silenced(5));
-  EXPECT_FALSE(inject->silenced(4));
+  EXPECT_GT(plan->rule(silent).hits(), 0);
+  EXPECT_TRUE(plan->rule(silent).src.contains(5));
+  EXPECT_FALSE(plan->rule(silent).src.contains(4));
 }
 
 TEST(FaultInjectorSilence, UnsilenceStopsTheDrops) {
   sim::Simulator sim;
   Cluster cluster(sim, hb_config(4));
-  auto inject = std::make_shared<FaultInjector>(sim.rng().fork(0x51EF));
-  cluster.fabric().push(inject);
-  inject->silence_node(2);
+  auto plan = std::make_shared<FaultPlan>(sim);
+  FaultRule silence = FaultRule::silence(2);
+  silence.end = 1_sec;  // the window closes: node 2 is heard again
+  plan->add(silence);
+  cluster.fabric().push(plan);
   sim.run(1_sec);
-  const std::int64_t during = inject->silence_drops();
+  const std::int64_t during = plan->rule(0).hits();
   ASSERT_GT(during, 0);
-  inject->unsilence_node(2);
-  sim.run(2_sec);
-  EXPECT_EQ(inject->silence_drops(), during);
+  sim.run(3_sec);
+  EXPECT_EQ(plan->rule(0).hits(), during);
 }
 
 // --- asymmetric (one-way) drops -------------------------------------------
@@ -120,38 +119,36 @@ TEST(FaultInjectorOneWay, CutsOnlyTheGivenDirection) {
   // MM (node 0) -> node 5 deliveries are dropped: node 5 stops hearing
   // heartbeats, its plane word stalls, and detection declares it dead.
   // Every other node keeps tracking the epoch — the cut is directional
-  // and targeted, unlike silence_node.
+  // and targeted, unlike silence.
   sim::Simulator sim;
   Cluster cluster(sim, hb_config(8));
-  auto inject = std::make_shared<FaultInjector>(sim.rng().fork(0xA51));
-  cluster.fabric().push(inject);
+  auto plan = std::make_shared<FaultPlan>(sim);
+  cluster.fabric().push(plan);
   sim.run(300_ms);
   ASSERT_TRUE(cluster.mm().failed_nodes().empty());
-  const int id = inject->add_one_way({0}, {5});
-  EXPECT_TRUE(inject->one_way_enabled(id));
+  plan->add(FaultRule::one_way({0}, {5}, {}, 300_ms, 2_sec));
   sim.run(2_sec);
   EXPECT_EQ(cluster.mm().failed_nodes(), std::vector<int>{5});
-  EXPECT_GT(inject->one_way_drops(), 0);
+  EXPECT_GT(plan->rule(0).hits(), 0);
 
-  // Disabling the rule stops the cut (campaigns window it this way).
-  inject->set_one_way_enabled(id, false);
-  const std::int64_t frozen = inject->one_way_drops();
-  sim.run(1_sec);
-  EXPECT_EQ(inject->one_way_drops(), frozen);
+  // Past the window's end the cut stops.
+  const std::int64_t frozen = plan->rule(0).hits();
+  sim.run(3_sec);
+  EXPECT_EQ(plan->rule(0).hits(), frozen);
 }
 
 TEST(FaultInjectorOneWay, ClassFilterRestrictsTheCut) {
   sim::Simulator sim;
   Cluster cluster(sim, hb_config(8));
-  auto inject = std::make_shared<FaultInjector>(sim.rng().fork(0xA52));
-  cluster.fabric().push(inject);
+  auto plan = std::make_shared<FaultPlan>(sim);
+  cluster.fabric().push(plan);
   // Cut only Strobe traffic toward node 5: heartbeats still flow, so
   // nothing is declared dead and (with no job strobing) nothing is
   // dropped at all.
-  inject->add_one_way({0}, {5}, {MsgClass::Strobe});
+  plan->add(FaultRule::one_way({0}, {5}, {MsgClass::Strobe}));
   sim.run(2_sec);
   EXPECT_TRUE(cluster.mm().failed_nodes().empty());
-  EXPECT_EQ(inject->one_way_drops(), 0);
+  EXPECT_EQ(plan->rule(0).hits(), 0);
 }
 
 TEST(FaultCampaign, AsymPartitionWindowsToggleTheInjector) {
@@ -159,37 +156,38 @@ TEST(FaultCampaign, AsymPartitionWindowsToggleTheInjector) {
   Cluster cluster(sim, hb_config(8));
   FaultCampaign c;
   c.asym_partition({0}, {5}, 300_ms, 1500_ms);
-  EXPECT_EQ(c.arm(sim, &cluster.fabric(), CampaignHooks{}), nullptr);
-  auto inj = c.one_way_injector();
-  ASSERT_NE(inj, nullptr);
+  const std::shared_ptr<FaultPlan> plan =
+      c.arm(sim, &cluster.fabric(), CampaignHooks{});
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->size(), 1u);
   sim.run(200_ms);  // before the window opens
-  EXPECT_EQ(inj->one_way_drops(), 0);
+  EXPECT_EQ(plan->rule(0).hits(), 0);
   sim.run(1_sec);  // inside the window
-  EXPECT_GT(inj->one_way_drops(), 0);
+  EXPECT_GT(plan->rule(0).hits(), 0);
+  sim.run(2_sec);  // past the end: the rule no longer matches
   EXPECT_EQ(cluster.mm().failed_nodes(), std::vector<int>{5});
-  sim.run(1_sec);  // past the end: the rule is disabled again
-  const std::int64_t frozen = inj->one_way_drops();
-  sim.run(1_sec);
-  EXPECT_EQ(inj->one_way_drops(), frozen);
+  const std::int64_t frozen = plan->rule(0).hits();
+  sim.run(3_sec);
+  EXPECT_EQ(plan->rule(0).hits(), frozen);
 }
 
-// --- PartitionSimulator ----------------------------------------------------
+// --- partitions --------------------------------------------------------------
 
 TEST(PartitionSimulator, IslandedNodesDeclaredDeadDuringWindow) {
   sim::Simulator sim;
   Cluster cluster(sim, hb_config(16));
-  auto ps = std::make_shared<PartitionSimulator>(sim);
-  ps->partition({12, 13, 14, 15}, 300_ms, 1500_ms);
-  cluster.fabric().push(ps);
+  auto plan = std::make_shared<FaultPlan>(sim);
+  plan->add(FaultRule::partition({12, 13, 14, 15}, 300_ms, 1500_ms));
+  cluster.fabric().push(plan);
 
   sim.run(200_ms);
-  EXPECT_FALSE(ps->active());
+  EXPECT_EQ(plan->rule(0).hits(), 0);
   EXPECT_TRUE(cluster.mm().failed_nodes().empty());
-  sim.run(1_sec);
-  EXPECT_TRUE(ps->active());
-  sim.run(3_sec);
-  EXPECT_FALSE(ps->active());
-  EXPECT_GT(ps->dropped(), 0);
+  sim.run(1500_ms);
+  const std::int64_t during = plan->rule(0).hits();
+  EXPECT_GT(during, 0);
+  sim.run(4_sec);
+  EXPECT_EQ(plan->rule(0).hits(), during);
   const std::vector<int> expect{12, 13, 14, 15};
   EXPECT_EQ(cluster.mm().failed_nodes(), expect);
 }
@@ -199,11 +197,11 @@ TEST(PartitionSimulator, IntraIslandTrafficUnaffected) {
   // envelope crosses the boundary.
   sim::Simulator sim;
   Cluster cluster(sim, hb_config(4));
-  auto ps = std::make_shared<PartitionSimulator>(sim);
-  ps->partition({0, 1, 2, 3}, 0_ms, 5_sec);
-  cluster.fabric().push(ps);
+  auto plan = std::make_shared<FaultPlan>(sim);
+  plan->add(FaultRule::partition({0, 1, 2, 3}, 0_ms, 5_sec));
+  cluster.fabric().push(plan);
   sim.run(2_sec);
-  EXPECT_EQ(ps->dropped(), 0);
+  EXPECT_EQ(plan->rule(0).hits(), 0);
   EXPECT_TRUE(cluster.mm().failed_nodes().empty());
 }
 
@@ -283,7 +281,7 @@ TEST(FaultCampaign, ArmFiresHooksAtScheduledTimes) {
   hooks.crash_node = [&](int n) { fired.push_back({sim.now(), n}); };
   hooks.recover_node = [&](int n) { fired.push_back({sim.now(), n}); };
   hooks.crash_primary_mm = [&] { fired.push_back({sim.now(), -2}); };
-  EXPECT_EQ(c.arm(sim, nullptr, hooks), nullptr);  // no partitions
+  EXPECT_EQ(c.arm(sim, nullptr, hooks), nullptr);  // no windows
 
   sim.run(1_sec);
   ASSERT_EQ(fired.size(), 3u);
@@ -296,15 +294,21 @@ TEST(FaultCampaign, ArmFiresHooksAtScheduledTimes) {
 }
 
 TEST(FaultCampaign, ArmInstallsPartitionSimulator) {
+  // Partition and asym windows land in one plan, in that order; the
+  // asym rule here never matches (node 1 is never a source of Repl).
   sim::Simulator sim;
   ClusterConfig cfg = hb_config(8);
   Cluster cluster(sim, cfg);
   FaultCampaign c;
   c.partition({6, 7}, 200_ms, 900_ms);
-  auto ps = c.arm(sim, &cluster.fabric(), CampaignHooks{});
-  ASSERT_NE(ps, nullptr);
+  c.asym_partition({1}, {0}, 200_ms, 900_ms, {MsgClass::Repl});
+  auto plan = c.arm(sim, &cluster.fabric(), CampaignHooks{});
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->size(), 2u);
+  EXPECT_EQ(cluster.fabric().middleware_count(), 1u);
   sim.run(2_sec);
-  EXPECT_GT(ps->dropped(), 0);
+  EXPECT_GT(plan->rule(0).hits(), 0);
+  EXPECT_EQ(plan->rule(1).hits(), 0);
   const std::vector<int> expect{6, 7};
   EXPECT_EQ(cluster.mm().failed_nodes(), expect);
 }

@@ -8,8 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "fabric/fault_injector.hpp"
-#include "fabric/latency_perturber.hpp"
+#include "fabric/fault_plan.hpp"
 #include "fabric/trace_sink.hpp"
 #include "storm/cluster.hpp"
 #include "storm/machine_manager.hpp"
@@ -39,13 +38,16 @@ TEST(FabricPassThrough, NoopChainReproducesLaunchTimesExactly) {
     cfg.storm.quantum = 1_ms;
     Cluster cluster(sim, cfg);
     if (with_noop_chain) {
-      auto inject = std::make_shared<FaultInjector>(sim.rng().fork(99));
-      // All probabilities zero: decides every envelope, consumes no
-      // randomness, drops nothing.
-      auto perturb = std::make_shared<LatencyPerturber>(sim.rng().fork(98));
+      // Probability-zero and zero-delay rules: decide every envelope,
+      // consume no randomness, change nothing.
+      auto plan = std::make_shared<FaultPlan>(sim, sim.rng().fork(99));
+      for (int c = 0; c < kMsgClassCount; ++c) {
+        plan->add(FaultRule::lossy(static_cast<MsgClass>(c), 0.0));
+        plan->add(FaultRule::jitter(static_cast<MsgClass>(c),
+                                    FaultRule::Dist::Constant, {}, {}));
+      }
       auto sink = std::make_shared<StructuredTraceSink>(sim);
-      cluster.fabric().push(inject);
-      cluster.fabric().push(perturb);
+      cluster.fabric().push(plan);
       cluster.fabric().push(sink);
     }
     const JobId id = cluster.submit({.binary_size = 4_MB, .npes = 64});
@@ -69,9 +71,10 @@ TEST(FabricPassThrough, NoopChainReproducesHeadlineLaunch) {
   ClusterConfig cfg = ClusterConfig::es40(64);
   cfg.storm.quantum = 1_ms;
   Cluster cluster(sim, cfg);
-  auto inject = std::make_shared<FaultInjector>(sim.rng().fork(1));
+  auto plan = std::make_shared<FaultPlan>(sim, sim.rng().fork(1));
+  plan->add(FaultRule::lossy(MsgClass::LaunchChunk, 0.0));
   auto sink = std::make_shared<StructuredTraceSink>(sim);
-  cluster.fabric().push(inject);
+  cluster.fabric().push(plan);
   cluster.fabric().push(sink);
 
   const JobId id = cluster.submit({.binary_size = 12_MB, .npes = 256});
@@ -86,7 +89,7 @@ TEST(FabricPassThrough, NoopChainReproducesHeadlineLaunch) {
   EXPECT_EQ(sink->count(MsgClass::Launch, OpKind::CommandMulticast), 1u);
   EXPECT_EQ(sink->count(MsgClass::PrepareTransfer, OpKind::CommandMulticast),
             1u);
-  EXPECT_EQ(inject->total_dropped(), 0);
+  EXPECT_EQ(plan->rule(0).hits(), 0);
 }
 
 struct FaultyRun {
@@ -123,16 +126,16 @@ FaultyRun faulty_gang_run(
 TEST(FabricDeterminism, SameSeedStrobeLossIsByteIdentical) {
   auto run = [] {
     FaultyRun out;
-    std::shared_ptr<FaultInjector> inject;
+    std::shared_ptr<FaultPlan> plan;
     std::shared_ptr<StructuredTraceSink> sink;
     out = faulty_gang_run([&](sim::Simulator& sim, Cluster& cluster) {
-      inject = std::make_shared<FaultInjector>(sim.rng().fork(0xD1CE));
-      inject->policy(MsgClass::Strobe).drop_prob = 0.02;
+      plan = std::make_shared<FaultPlan>(sim, sim.rng().fork(0xD1CE));
+      plan->add(FaultRule::lossy(MsgClass::Strobe, 0.02));
       sink = std::make_shared<StructuredTraceSink>(sim);
-      cluster.fabric().push(inject);
+      cluster.fabric().push(plan);
       cluster.fabric().push(sink);
     });
-    out.strobes_dropped = inject->dropped(MsgClass::Strobe);
+    out.strobes_dropped = plan->rule(0).hits();
     out.trace = sink->bytes();
     return out;
   };
@@ -155,13 +158,13 @@ TEST(FabricDeterminism, SameSeedJitterIsByteIdentical) {
     FaultyRun out;
     std::shared_ptr<StructuredTraceSink> sink;
     out = faulty_gang_run([&](sim::Simulator& sim, Cluster& cluster) {
-      auto perturb = std::make_shared<LatencyPerturber>(sim.rng().fork(0xC0DE));
-      perturb->set_jitter(MsgClass::Strobe,
-                          {LatencyPerturber::Model::Uniform, 5_us, 50_us});
-      perturb->set_jitter(MsgClass::LaunchChunk,
-                          {LatencyPerturber::Model::Exponential, 0_us, 20_us});
+      auto plan = std::make_shared<FaultPlan>(sim, sim.rng().fork(0xC0DE));
+      plan->add(FaultRule::jitter(MsgClass::Strobe, FaultRule::Dist::Uniform,
+                                  5_us, 50_us));
+      plan->add(FaultRule::jitter(MsgClass::LaunchChunk,
+                                  FaultRule::Dist::Exponential, 0_us, 20_us));
       sink = std::make_shared<StructuredTraceSink>(sim);
-      cluster.fabric().push(perturb);
+      cluster.fabric().push(plan);
       cluster.fabric().push(sink);
     });
     out.trace = sink->bytes();

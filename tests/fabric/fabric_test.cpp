@@ -8,8 +8,7 @@
 #include <optional>
 #include <vector>
 
-#include "fabric/fault_injector.hpp"
-#include "fabric/latency_perturber.hpp"
+#include "fabric/fault_plan.hpp"
 #include "fabric/trace_sink.hpp"
 #include "sim/simulator.hpp"
 
@@ -305,104 +304,211 @@ TEST(MechanismFabric, LocalOpsAreObserveOnly) {
   for (const auto& [e, a] : mw->observed) EXPECT_FALSE(a.drop);
 }
 
+Envelope strobe_xfer() {
+  return Envelope{OpKind::Xfer, Component::MM, ControlMessage::strobe(0), 0,
+                  net::NodeRange{0, 8}, 64};
+}
+
+Envelope delivery(const ControlMessage& m, int src, int node) {
+  return Envelope{OpKind::CommandDeliver, Component::MM, m, src,
+                  net::NodeRange{node, 1}, 0};
+}
+
+Action decide(FaultPlan& plan, const Envelope& e) {
+  Action a;
+  plan.apply(e, a);
+  return a;
+}
+
 TEST(FaultInjector, SameSeedSameDecisions) {
-  // Rng has value semantics: two injectors built from copies of the
-  // same stream make identical decisions. (Rng::fork advances the
-  // parent, so two fork(salt) calls deliberately differ.)
+  // Rng has value semantics: two plans built from copies of the same
+  // stream make identical decisions. (Rng::fork advances the parent,
+  // so two fork(salt) calls deliberately differ.)
+  sim::Simulator sim;
   sim::Rng master(0x5707'11E5ULL);
-  FaultInjector x(master);
-  FaultInjector y(master);
-  x.policy(MsgClass::Strobe).drop_prob = 0.3;
-  y.policy(MsgClass::Strobe).drop_prob = 0.3;
+  FaultPlan x(sim, master);
+  FaultPlan y(sim, master);
+  x.add(FaultRule::lossy(MsgClass::Strobe, 0.3));
+  y.add(FaultRule::lossy(MsgClass::Strobe, 0.3));
 
   const Envelope e{OpKind::CommandMulticast, Component::MM,
                    ControlMessage::strobe(0), 0, net::NodeRange{0, 8}, 64};
   for (int i = 0; i < 200; ++i) {
-    Action ax, ay;
-    x.apply(e, ax);
-    y.apply(e, ay);
-    EXPECT_EQ(ax.drop, ay.drop);
+    EXPECT_EQ(decide(x, e).drop, decide(y, e).drop);
   }
-  EXPECT_EQ(x.dropped(MsgClass::Strobe), y.dropped(MsgClass::Strobe));
-  EXPECT_GT(x.dropped(MsgClass::Strobe), 0);
-  EXPECT_LT(x.dropped(MsgClass::Strobe), 200);
+  EXPECT_EQ(x.rule(0).hits(), y.rule(0).hits());
+  EXPECT_GT(x.rule(0).hits(), 0);
+  EXPECT_LT(x.rule(0).hits(), 200);
 }
 
 TEST(FaultInjector, ZeroProbabilityConsumesNoRandomness) {
+  // Rules with probability 0 or with no randomness at all (constant
+  // delay, a zero-spread uniform draw, cuts, one-way and armed drops
+  // that never match) match every envelope without touching the
+  // plan's stream.
+  sim::Simulator sim;
   sim::Rng master(0x5707'11E5ULL);
-  FaultInjector x(master);
-  const Envelope e{OpKind::Xfer, Component::MM, ControlMessage::strobe(0), 0,
-                   net::NodeRange{0, 8}, 64};
+  FaultPlan x(sim, master);
+  x.add(FaultRule::lossy(MsgClass::Strobe, 0.0));
+  x.add(FaultRule::jitter(MsgClass::Strobe, FaultRule::Dist::Constant, 1_us,
+                          {}));
+  x.add(FaultRule::jitter(MsgClass::Strobe, FaultRule::Dist::Uniform, 2_us,
+                          {}));
+  x.add(FaultRule::partition({0, 1, 2, 3, 4, 5, 6, 7}, {},
+                             sim::SimTime::max()));
+  const Envelope e = strobe_xfer();
   for (int i = 0; i < 100; ++i) {
-    Action a;
-    x.apply(e, a);
+    const Action a = decide(x, e);
     EXPECT_FALSE(a.drop);
+    EXPECT_EQ(a.delay, 3_us);
   }
-  // After 100 envelopes under all-zero policies, x's stream is
-  // untouched: it still agrees decision-for-decision with a pristine
-  // copy once both are given the same non-zero policy.
-  FaultInjector z(master);
-  x.policy(MsgClass::Strobe).drop_prob = 0.5;
-  z.policy(MsgClass::Strobe).drop_prob = 0.5;
+  EXPECT_EQ(x.rule(0).hits(), 0);
+  EXPECT_EQ(x.rule(1).hits(), 100);
+  EXPECT_EQ(x.rule(3).hits(), 0);
+  // After 100 envelopes x's stream is untouched: it still agrees
+  // decision-for-decision with a pristine copy once both carry the
+  // same non-zero rule.
+  FaultPlan z(sim, master);
+  x.add(FaultRule::lossy(MsgClass::Strobe, 0.5));
+  z.add(FaultRule::lossy(MsgClass::Strobe, 0.5));
   for (int i = 0; i < 50; ++i) {
-    Action ax, az;
-    x.apply(e, ax);
-    z.apply(e, az);
-    EXPECT_EQ(ax.drop, az.drop);
+    EXPECT_EQ(decide(x, e).drop, decide(z, e).drop);
   }
+  EXPECT_EQ(x.rule(4).hits(), z.rule(0).hits());
 }
 
 TEST(FaultInjector, TargetedDropHitsOnceOnMatchingNode) {
   sim::Simulator sim;
-  FaultInjector x(sim.rng().fork(1));
-  x.drop_next_delivery(MsgClass::Heartbeat, /*node=*/3);
+  FaultPlan x(sim);
+  x.add(FaultRule::drop_next(MsgClass::Heartbeat, /*node=*/3));
 
-  auto deliver = [&](MsgClass c, int node) {
-    Action a;
-    x.apply(Envelope{OpKind::CommandDeliver, Component::MM,
-                     c == MsgClass::Heartbeat ? ControlMessage::heartbeat(0)
-                                              : ControlMessage::strobe(0),
-                     0, net::NodeRange{node, 1}, 0},
-            a);
-    return a.drop;
-  };
-  EXPECT_FALSE(deliver(MsgClass::Heartbeat, 2));  // wrong node
-  EXPECT_FALSE(deliver(MsgClass::Strobe, 3));     // wrong class
-  EXPECT_TRUE(deliver(MsgClass::Heartbeat, 3));   // armed shot fires
-  EXPECT_FALSE(deliver(MsgClass::Heartbeat, 3));  // one-shot: disarmed
-  EXPECT_EQ(x.dropped(MsgClass::Heartbeat), 1);
+  const ControlMessage hb = ControlMessage::heartbeat(0);
+  EXPECT_FALSE(decide(x, delivery(hb, 0, 2)).drop);  // wrong node
+  EXPECT_FALSE(
+      decide(x, delivery(ControlMessage::strobe(0), 0, 3)).drop);  // class
+  EXPECT_TRUE(decide(x, delivery(hb, 0, 3)).drop);   // armed shot fires
+  EXPECT_FALSE(decide(x, delivery(hb, 0, 3)).drop);  // one-shot: disarmed
+  EXPECT_EQ(x.rule(0).hits(), 1);
 }
 
 TEST(LatencyPerturber, ModelsAndScope) {
   sim::Simulator sim;
-  LatencyPerturber p(sim.rng().fork(2));
-  p.set_jitter(MsgClass::Strobe,
-               {LatencyPerturber::Model::Constant, 10_us, {}});
-  p.set_jitter(MsgClass::Heartbeat,
-               {LatencyPerturber::Model::Uniform, 1_us, 4_us});
+  FaultPlan p(sim, sim.rng().fork(2));
+  p.add(FaultRule::jitter(MsgClass::Strobe, FaultRule::Dist::Constant, 10_us,
+                          {}));
+  p.add(FaultRule::jitter(MsgClass::Heartbeat, FaultRule::Dist::Uniform, 1_us,
+                          4_us));
 
-  Action a;
-  p.apply(Envelope{OpKind::CommandMulticast, Component::MM,
-                   ControlMessage::strobe(0), 0, net::NodeRange{0, 8}, 64},
-          a);
-  EXPECT_EQ(a.delay, sim::SimTime::micros(10));
+  EXPECT_EQ(decide(p, Envelope{OpKind::CommandMulticast, Component::MM,
+                               ControlMessage::strobe(0), 0,
+                               net::NodeRange{0, 8}, 64})
+                .delay,
+            sim::SimTime::micros(10));
 
   for (int i = 0; i < 50; ++i) {
-    Action h;
-    p.apply(Envelope{OpKind::CommandMulticast, Component::MM,
-                     ControlMessage::heartbeat(i), 0, net::NodeRange{0, 8}, 64},
-            h);
+    const Action h = decide(p, Envelope{OpKind::CommandMulticast,
+                                        Component::MM,
+                                        ControlMessage::heartbeat(i), 0,
+                                        net::NodeRange{0, 8}, 64});
     EXPECT_GE(h.delay, sim::SimTime::micros(1));
     EXPECT_LT(h.delay, sim::SimTime::micros(5));
   }
+  EXPECT_EQ(p.rule(1).hits(), 50);
 
   // Per-node deliveries are not jittered (a multicast is perturbed
   // once, not once per destination).
-  Action d;
-  p.apply(Envelope{OpKind::CommandDeliver, Component::MM,
-                   ControlMessage::strobe(0), 0, net::NodeRange{3, 1}, 0},
-          d);
-  EXPECT_EQ(d.delay, sim::SimTime::zero());
+  EXPECT_EQ(decide(p, delivery(ControlMessage::strobe(0), 0, 3)).delay,
+            sim::SimTime::zero());
+}
+
+TEST(FaultPlan, CutAndOneWayStopAtFirstDrop) {
+  // MM (node 0) -> node 5 crosses the island {4..7} cut and the one-way
+  // 0 -> 5 rule alike. Only the first rule in the table takes the hit,
+  // and the lossy rule behind both never draws for a dropped envelope.
+  sim::Simulator sim;
+  sim::Rng master(0xC07ULL);
+  auto build = [&](bool cut_first) {
+    auto plan = std::make_unique<FaultPlan>(sim, master);
+    const FaultRule cut = FaultRule::partition({4, 5, 6, 7}, {},
+                                               sim::SimTime::max());
+    const FaultRule one_way = FaultRule::one_way({0}, {5});
+    plan->add(cut_first ? cut : one_way);
+    plan->add(cut_first ? one_way : cut);
+    plan->add(FaultRule::lossy(MsgClass::Heartbeat, 0.5));
+    return plan;
+  };
+  const ControlMessage hb = ControlMessage::heartbeat(1);
+  for (const bool cut_first : {true, false}) {
+    std::unique_ptr<FaultPlan> plan = build(cut_first);
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_TRUE(decide(*plan, delivery(hb, 0, 5)).drop);
+    }
+    EXPECT_EQ(plan->rule(0).hits(), 20);
+    EXPECT_EQ(plan->rule(1).hits(), 0);
+    EXPECT_EQ(plan->rule(2).hits(), 0);
+    // Its stream is still pristine: the lossy rule now decides node 1's
+    // deliveries (neither cut nor one-way) exactly like a fresh plan's.
+    FaultPlan fresh(sim, master);
+    fresh.add(FaultRule::lossy(MsgClass::Heartbeat, 0.5));
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_EQ(decide(*plan, delivery(hb, 0, 1)).drop,
+                decide(fresh, delivery(hb, 0, 1)).drop);
+    }
+  }
+}
+
+TEST(FaultPlan, NodeFiltersFollowTheOperationKind) {
+  sim::Simulator sim;
+  FaultPlan plan(sim);
+  const std::size_t silent = plan.add(FaultRule::silence(5));
+  auto caw = [](int src, net::NodeRange dsts) {
+    return Envelope{OpKind::CompareAndWrite, Component::MM,
+                    ControlMessage::heartbeat(0), src, dsts, 0};
+  };
+  auto xfer = [](int src, net::NodeRange dsts) {
+    return Envelope{OpKind::Xfer, Component::MM, ControlMessage::strobe(0),
+                    src, dsts, 64};
+  };
+  // Sourced by the silenced node: every wire operation is lost.
+  EXPECT_TRUE(decide(plan, xfer(5, {0, 2})).drop);
+  // A CAW fails if any destination cannot answer ...
+  EXPECT_TRUE(decide(plan, caw(0, {0, 8})).drop);
+  EXPECT_FALSE(decide(plan, caw(0, {0, 4})).drop);
+  // ... an XFER only when no destination can hear it ...
+  EXPECT_FALSE(decide(plan, xfer(0, {4, 2})).drop);
+  EXPECT_TRUE(decide(plan, xfer(0, {5, 1})).drop);
+  // ... and a multicast's wire leg is left to its deliveries.
+  EXPECT_FALSE(decide(plan, Envelope{OpKind::CommandMulticast, Component::MM,
+                                     ControlMessage::strobe(0), 0,
+                                     net::NodeRange{0, 8}, 64})
+                   .drop);
+  EXPECT_TRUE(decide(plan, delivery(ControlMessage::strobe(0), 0, 5)).drop);
+  // Local NIC operations are never faulted.
+  EXPECT_FALSE(decide(plan, Envelope{OpKind::TestEvent, Component::None,
+                                     ControlMessage::generic(), 5,
+                                     net::NodeRange{5, 1}, 0})
+                   .drop);
+  EXPECT_EQ(plan.rule(silent).hits(), 4);
+}
+
+TEST(FaultPlan, DuplicateAndExponentialDelayAccumulate) {
+  sim::Simulator sim;
+  FaultPlan plan(sim, sim.rng().fork(3));
+  FaultRule dup = FaultRule::lossy(MsgClass::Strobe, 1.0);
+  dup.act = FaultRule::Act::Duplicate;
+  plan.add(dup);
+  plan.add(dup);
+  plan.add(FaultRule::jitter(MsgClass::Strobe, FaultRule::Dist::Exponential,
+                             5_us, 20_us));
+  bool spread = false;
+  for (int i = 0; i < 50; ++i) {
+    const Action a = decide(plan, strobe_xfer());
+    EXPECT_FALSE(a.drop);
+    EXPECT_EQ(a.duplicates, 2);
+    EXPECT_GE(a.delay, 5_us);
+    spread = spread || a.delay > 25_us;
+  }
+  EXPECT_TRUE(spread) << "an exponential draw never exceeded its mean";
 }
 
 TEST(StructuredTraceSink, RecordsVerdictsAndSerialises) {

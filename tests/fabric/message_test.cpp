@@ -12,7 +12,7 @@ TEST(ControlMessage, StrobeRoundTrip) {
   ControlMessage::WireImage w;
   const std::size_t n = m.encode(w);
   EXPECT_EQ(n, ControlMessage::wire_size(MsgClass::Strobe));
-  const ControlMessage d = ControlMessage::decode(w.data(), n);
+  const ControlMessage d = ControlMessage::decode(w.data(), n).value();
   EXPECT_EQ(d.cls, MsgClass::Strobe);
   EXPECT_EQ(d.u.strobe.row, 3);
 }
@@ -22,7 +22,7 @@ TEST(ControlMessage, HeartbeatRoundTripLargeEpoch) {
   const ControlMessage m = ControlMessage::heartbeat(epoch);
   ControlMessage::WireImage w;
   const std::size_t n = m.encode(w);
-  const ControlMessage d = ControlMessage::decode(w.data(), n);
+  const ControlMessage d = ControlMessage::decode(w.data(), n).value();
   EXPECT_EQ(d.cls, MsgClass::Heartbeat);
   EXPECT_EQ(d.u.heartbeat.epoch, epoch);
 }
@@ -32,7 +32,7 @@ TEST(ControlMessage, PrepareTransferRoundTrip) {
       ControlMessage::prepare_transfer(7, 24, 512 * 1024);
   ControlMessage::WireImage w;
   const std::size_t n = m.encode(w);
-  const ControlMessage d = ControlMessage::decode(w.data(), n);
+  const ControlMessage d = ControlMessage::decode(w.data(), n).value();
   EXPECT_EQ(d.cls, MsgClass::PrepareTransfer);
   EXPECT_EQ(d.u.prepare.job, 7);
   EXPECT_EQ(d.u.prepare.chunks, 24);
@@ -43,7 +43,7 @@ TEST(ControlMessage, LaunchChunkRoundTrip) {
   const ControlMessage m = ControlMessage::launch_chunk(2, 13, 1 << 20);
   ControlMessage::WireImage w;
   const std::size_t n = m.encode(w);
-  const ControlMessage d = ControlMessage::decode(w.data(), n);
+  const ControlMessage d = ControlMessage::decode(w.data(), n).value();
   EXPECT_EQ(d.cls, MsgClass::LaunchChunk);
   EXPECT_EQ(d.u.chunk.job, 2);
   EXPECT_EQ(d.u.chunk.index, 13);
@@ -57,7 +57,7 @@ TEST(ControlMessage, ReplRoundTrip) {
   ControlMessage::WireImage w;
   const std::size_t n = m.encode(w);
   EXPECT_EQ(n, ControlMessage::wire_size(MsgClass::Repl));
-  const ControlMessage d = ControlMessage::decode(w.data(), n);
+  const ControlMessage d = ControlMessage::decode(w.data(), n).value();
   EXPECT_EQ(d.cls, MsgClass::Repl);
   EXPECT_EQ(d.u.repl.verb_from, 0x0102'0304);
   EXPECT_EQ(d.u.repl.term, 7);
@@ -86,11 +86,34 @@ TEST(ControlMessage, EveryClassRoundTripsItsTag) {
     ControlMessage::WireImage w;
     const std::size_t n = m.encode(w);
     EXPECT_LE(n, ControlMessage::kMaxWireBytes);
-    const ControlMessage d = ControlMessage::decode(w.data(), n);
+    const ControlMessage d = ControlMessage::decode(w.data(), n).value();
     EXPECT_EQ(d.cls, m.cls);
     EXPECT_EQ(d.word_a(), m.word_a());
     EXPECT_EQ(d.word_b(), m.word_b());
   }
+}
+
+TEST(ControlMessage, DecodeRejectsEmptyInput) {
+  const std::uint8_t tag = 0;
+  EXPECT_FALSE(ControlMessage::decode(&tag, 0).has_value());
+  EXPECT_FALSE(ControlMessage::decode(nullptr, 0).has_value());
+}
+
+TEST(ControlMessage, DecodeRejectsTruncatedImage) {
+  ControlMessage::WireImage w;
+  const std::size_t n = ControlMessage::repl(1, 2, 3, 4, 5).encode(w);
+  for (std::size_t k = 1; k < n; ++k) {
+    EXPECT_FALSE(ControlMessage::decode(w.data(), k).has_value()) << k;
+  }
+  EXPECT_TRUE(ControlMessage::decode(w.data(), n).has_value());
+}
+
+TEST(ControlMessage, DecodeRejectsUnknownTag) {
+  ControlMessage::WireImage w{};
+  w[0] = kMsgClassCount;
+  EXPECT_FALSE(ControlMessage::decode(w.data(), w.size()).has_value());
+  w[0] = 0xFF;
+  EXPECT_FALSE(ControlMessage::decode(w.data(), w.size()).has_value());
 }
 
 TEST(ControlMessage, CompactEncoding) {

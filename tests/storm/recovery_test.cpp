@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "fabric/fault_injector.hpp"
+#include "fabric/fault_plan.hpp"
 #include "storm/cluster.hpp"
 #include "storm/machine_manager.hpp"
 #include "storm/node_manager.hpp"
@@ -73,18 +73,17 @@ TEST(Recovery, DroppedHeartbeatsStillFireCallback) {
   // and the callback must fire all the same.
   sim::Simulator sim;
   Cluster cluster(sim, recovery_config(8));
-  auto inject =
-      std::make_shared<fabric::FaultInjector>(sim.rng().fork(0xBEEF));
-  inject->drop_next_delivery(fabric::MsgClass::Heartbeat, /*node=*/6,
-                             /*count=*/1000);
-  cluster.fabric().push(inject);
+  auto plan = std::make_shared<fabric::FaultPlan>(sim);
+  plan->add(fabric::FaultRule::drop_next(fabric::MsgClass::Heartbeat,
+                                         /*node=*/6, /*n=*/1000));
+  cluster.fabric().push(plan);
   int failed_node = -1;
   cluster.mm().set_failure_callback(
       [&](int n, SimTime) { failed_node = n; });
   sim.run(2_sec);
   EXPECT_EQ(failed_node, 6);
   EXPECT_EQ(cluster.mm().failed_nodes(), std::vector<int>{6});
-  EXPECT_GT(inject->dropped(fabric::MsgClass::Heartbeat), 0);
+  EXPECT_GT(plan->rule(0).hits(), 0);
 }
 
 // --- kill-and-requeue ------------------------------------------------------

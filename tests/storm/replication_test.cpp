@@ -7,7 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "fabric/fault_injector.hpp"
+#include "fabric/fault_plan.hpp"
 #include "fabric/trace_sink.hpp"
 #include "storm/cluster.hpp"
 #include "storm/machine_manager.hpp"
@@ -121,10 +121,11 @@ TEST(Replication, MinorityIsolatedLeaderCommitsNothingAfterLease) {
   // majority side elects, and the old leader's commit index freezes.
   sim::Simulator sim;
   Cluster cluster(sim, repl_config(16));
-  auto inject = std::make_shared<fabric::FaultInjector>(sim::Rng{0});
-  const int cut = inject->add_one_way({14, 15}, {0}, {fabric::MsgClass::Repl});
-  inject->set_one_way_enabled(cut, false);
-  cluster.fabric().push(inject);
+  // The cut opens at 500 ms and heals at 1190 ms.
+  auto plan = std::make_shared<fabric::FaultPlan>(sim);
+  plan->add(fabric::FaultRule::one_way({14, 15}, {0}, {fabric::MsgClass::Repl},
+                                       500_ms, 1190_ms));
+  cluster.fabric().push(plan);
 
   cluster.submit({.name = "long",
                   .binary_size = 1_MB,
@@ -134,7 +135,6 @@ TEST(Replication, MinorityIsolatedLeaderCommitsNothingAfterLease) {
   ReplicationGroup* g = cluster.replication();
   ASSERT_NE(g, nullptr);
   ASSERT_EQ(g->active_rank(), 0);
-  inject->set_one_way_enabled(cut, true);
 
   // One lease (20 ms) later the starved leader must have abdicated;
   // nothing it logged after the cut may ever commit.
@@ -146,11 +146,10 @@ TEST(Replication, MinorityIsolatedLeaderCommitsNothingAfterLease) {
       << "a minority-isolated leader must not commit";
   EXPECT_NE(g->active_rank(), 0) << "the majority side must have elected";
   EXPECT_GE(g->elections(), 1);
-  EXPECT_GT(inject->one_way_drops(), 0);
+  EXPECT_GT(plan->rule(0).hits(), 0);
 
-  // Heal the cut: the deposed leader re-follows the new term and the
-  // group reconverges on one committed prefix.
-  inject->set_one_way_enabled(cut, false);
+  // The cut has healed: the deposed leader re-follows the new term and
+  // the group reconverges on one committed prefix.
   ASSERT_TRUE(cluster.run_until_all_complete(600_sec));
   const std::vector<ReplicaStatus> st = g->status();
   EXPECT_NE(st[0].role, ReplRole::Leader);

@@ -8,7 +8,7 @@
 #include <memory>
 #include <string>
 
-#include "fabric/fault_injector.hpp"
+#include "fabric/fault_plan.hpp"
 #include "fabric/trace_sink.hpp"
 #include "storm/cluster.hpp"
 #include "telemetry/metrics.hpp"
@@ -148,10 +148,10 @@ TEST(MetricsAggregator, DropCountersMatchFaultInjector) {
   cfg.storm.quantum = 10_ms;
   core::Cluster cluster(sim, cfg);
   cluster.enable_fabric_metrics();
-  auto inject =
-      std::make_shared<fabric::FaultInjector>(sim.rng().fork(0xFA117));
-  inject->policy(fabric::MsgClass::Strobe).drop_prob = 0.05;
-  cluster.fabric().push(inject);
+  auto plan =
+      std::make_shared<fabric::FaultPlan>(sim, sim.rng().fork(0xFA117));
+  plan->add(fabric::FaultRule::lossy(fabric::MsgClass::Strobe, 0.05));
+  cluster.fabric().push(plan);
 
   auto work = [](core::AppContext& ctx) -> sim::Task<> {
     co_await ctx.compute(2_sec);
@@ -162,8 +162,8 @@ TEST(MetricsAggregator, DropCountersMatchFaultInjector) {
                   .program = work});
   ASSERT_TRUE(cluster.run_until_all_complete(600_sec));
 
-  const std::int64_t injected = inject->dropped(fabric::MsgClass::Strobe);
-  ASSERT_GT(injected, 0) << "fault injector never fired; weaken the seed?";
+  const std::int64_t injected = plan->rule(0).hits();
+  ASSERT_GT(injected, 0) << "lossy rule never fired; weaken the seed?";
   EXPECT_EQ(cluster.metrics().find_counter("fabric.strobe.dropped")->value(),
             injected);
 }

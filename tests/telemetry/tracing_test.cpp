@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "bench/runner.hpp"
-#include "fabric/fault_injector.hpp"
-#include "fabric/latency_perturber.hpp"
-#include "fabric/reorder_buffer.hpp"
+#include "fabric/fault_plan.hpp"
 #include "fabric/trace_sink.hpp"
 #include "model/launch_model.hpp"
 #include "storm/cluster.hpp"
@@ -60,18 +58,14 @@ TEST(CausalTracing, ContextSurvivesFullMiddlewareChain) {
   cfg.storm.heartbeat_period_quanta = 5;
   Cluster cluster(sim, cfg);
   cluster.enable_tracing();
-  auto inject =
-      std::make_shared<fabric::FaultInjector>(sim.rng().fork(0x7ACE));
-  inject->policy(fabric::MsgClass::Strobe).drop_prob = 0.02;
-  auto perturb =
-      std::make_shared<fabric::LatencyPerturber>(sim.rng().fork(0x7ACF));
-  auto reorder =
-      std::make_shared<fabric::ReorderBuffer>(sim.rng().fork(0x7AD0));
-  reorder->set_window(30_us);
+  using fabric::FaultRule;
+  auto plan = std::make_shared<fabric::FaultPlan>(sim, sim.rng().fork(0x7ACE));
+  plan->add(FaultRule::lossy(fabric::MsgClass::Strobe, 0.02));
+  plan->add(FaultRule::jitter(fabric::MsgClass::Launch,
+                              FaultRule::Dist::Uniform, 1_us, 20_us));
+  const std::size_t reorder = plan->add(FaultRule::reorder(30_us));
   auto sink = std::make_shared<fabric::StructuredTraceSink>(sim);
-  cluster.fabric().push(inject);
-  cluster.fabric().push(perturb);
-  cluster.fabric().push(reorder);
+  cluster.fabric().push(plan);
   cluster.fabric().push(sink);
 
   cluster.submit(
@@ -81,7 +75,7 @@ TEST(CausalTracing, ContextSurvivesFullMiddlewareChain) {
   ASSERT_TRUE(cluster.run_until_all_complete(120_sec));
   ASSERT_NE(cluster.tracer(), nullptr);
   const TraceBuffer& buf = cluster.tracer()->buffer();
-  EXPECT_GT(reorder->perturbed(), 0);
+  EXPECT_GT(plan->rule(reorder).hits(), 0);
   EXPECT_EQ(buf.dropped(), 0u);
 
   // Every NM launch handler span is parented on the MM's launch-issue
