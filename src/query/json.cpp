@@ -1,6 +1,7 @@
 #include "query/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 namespace storm::query::json {
@@ -165,7 +166,14 @@ class Parser {
     if (end != token.c_str() + token.size()) return fail("bad number");
     if (integral) {
       out.integral = true;
-      out.integer = std::strtoll(token.c_str(), nullptr, 10);
+      out.negative = token[0] == '-';
+      const char* last = token.data() + token.size();
+      const std::from_chars_result r =
+          out.negative ? std::from_chars(token.data(), last, out.integer)
+                       : std::from_chars(token.data(), last, out.uinteger);
+      if (r.ec != std::errc{} || r.ptr != last) {
+        return fail("integer out of range");
+      }
     }
     return true;
   }

@@ -3,12 +3,14 @@
 // round-trip tests). Recursive descent, no dependencies.
 //
 // Integers are kept exact: a numeric token with no fraction/exponent
-// is parsed into int64 alongside the double, so 64-bit counters and
-// timestamps survive a round trip bit-for-bit.
+// is parsed into int64 (negative) or uint64 (non-negative) alongside
+// the double, so every 64-bit counter, timestamp and digest survives a
+// round trip bit-for-bit. An integral token neither type holds is a
+// parse error, not a clamp.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -23,8 +25,10 @@ class Value {
   Kind kind = Kind::Null;
   bool boolean = false;
   double number = 0.0;
-  std::int64_t integer = 0;  // exact when the token was integral
-  bool integral = false;
+  bool integral = false;      // token had no fraction or exponent
+  bool negative = false;      // integral token with a leading '-'
+  std::int64_t integer = 0;   // exact value of a negative integral token
+  std::uint64_t uinteger = 0; // exact value of a non-negative one
   std::string string;
   std::vector<Value> array;
   std::vector<std::pair<std::string, Value>> object;
@@ -44,12 +48,16 @@ class Value {
     return nullptr;
   }
 
-  std::int64_t as_int() const {
-    return integral ? integer : static_cast<std::int64_t>(number);
-  }
-  std::uint64_t as_uint() const {
-    return integral ? static_cast<std::uint64_t>(integer)
-                    : static_cast<std::uint64_t>(number);
+  /// Stores the token's exact value in `out` when it was integral and
+  /// T can hold it; otherwise returns false and leaves `out` alone.
+  template <std::integral T>
+  bool exact(T& out) const {
+    if (!is_number() || !integral) return false;
+    if (negative ? !std::in_range<T>(integer) : !std::in_range<T>(uinteger)) {
+      return false;
+    }
+    out = negative ? static_cast<T>(integer) : static_cast<T>(uinteger);
+    return true;
   }
   double as_double() const { return number; }
 };

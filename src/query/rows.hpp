@@ -8,15 +8,54 @@
 // and snapshot paths is the whole point: an invariant or a canned view
 // written against these structs runs unchanged on a live Cluster and
 // on a parsed `storm.state.v1` file.
+//
+// Each row type is followed by its schema: the table name and the
+// ordered (column name, member) list that `storm.state.v1` writes and
+// loads (snapshot.cpp). A new column is one field, one schema entry and
+// one assignment in the live scan (tables.cpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <tuple>
 
 #include "query/relation.hpp"
 #include "storm/job.hpp"
 
 namespace storm::query {
+
+/// One column of a state table: its name and the row member it holds.
+template <typename Row, typename T>
+struct Column {
+  std::string_view name;
+  T Row::*member;
+};
+
+template <typename Row, typename T>
+constexpr Column<Row, T> col(std::string_view name, T Row::*member) {
+  return {name, member};
+}
+
+/// Whether the snapshot writes a table that has no rows. Tables that
+/// only some runs fill (replication, the time-series recorder) are
+/// written only when non-empty, so snapshots of runs without them keep
+/// the bytes they had before those tables existed.
+enum class Written { Always, WhenNonEmpty };
+
+/// A state table's schema, declared once per row type below.
+template <typename Row, typename... T>
+struct Schema {
+  std::string_view name;
+  Written written;
+  std::tuple<Column<Row, T>...> columns;
+};
+
+template <typename Row, typename... T>
+constexpr Schema<Row, T...> schema(std::string_view name, Written written,
+                                   Column<Row, T>... columns) {
+  return {name, written, {columns...}};
+}
 
 /// True for states in which a job's current incarnation owns cluster
 /// resources (a matrix placement, NIC words, possibly busy PLs).
@@ -58,6 +97,25 @@ struct ClusterMeta {
   int matrix_rows = 0;         // Ousterhout matrix MPL
 };
 
+/// Written as one `"key": value` object rather than a table.
+inline constexpr auto kMetaSchema = schema<ClusterMeta>(
+    "meta", Written::Always, col("nodes", &ClusterMeta::nodes),
+    col("pls_per_node", &ClusterMeta::pls_per_node),
+    col("plane_mode", &ClusterMeta::plane_mode),
+    col("scheduler", &ClusterMeta::scheduler),
+    col("quantum_ns", &ClusterMeta::quantum_ns),
+    col("heartbeat_enabled", &ClusterMeta::heartbeat_enabled),
+    col("heartbeat_miss_periods", &ClusterMeta::heartbeat_miss_periods),
+    col("max_job_restarts", &ClusterMeta::max_job_restarts),
+    col("seed", &ClusterMeta::seed), col("sim_ns", &ClusterMeta::sim_ns),
+    col("mm_node", &ClusterMeta::mm_node),
+    col("standby_active", &ClusterMeta::standby_active),
+    col("hb_epoch", &ClusterMeta::hb_epoch),
+    col("queued", &ClusterMeta::queued),
+    col("completed", &ClusterMeta::completed),
+    col("strobes", &ClusterMeta::strobes),
+    col("matrix_rows", &ClusterMeta::matrix_rows));
+
 /// One cluster node: state-plane flags and words, crash-model state,
 /// and its column's footprint in the Ousterhout matrix.
 ///
@@ -80,6 +138,15 @@ struct NodeRow {
   int pl_busy = 0;              // popcount(pl_mask)
   int matrix_cells = 0;         // occupied matrix cells in this column
 };
+
+inline constexpr auto kNodeSchema = schema<NodeRow>(
+    "nodes", Written::Always, col("node", &NodeRow::node),
+    col("failed", &NodeRow::failed), col("crashed", &NodeRow::crashed),
+    col("evicted", &NodeRow::evicted), col("mm_failed", &NodeRow::mm_failed),
+    col("epoch", &NodeRow::epoch), col("heartbeat", &NodeRow::heartbeat),
+    col("strobe_row", &NodeRow::strobe_row), col("pl_mask", &NodeRow::pl_mask),
+    col("pl_busy", &NodeRow::pl_busy),
+    col("matrix_cells", &NodeRow::matrix_cells));
 
 /// One submitted job. Allocation appears twice on purpose: row /
 /// first_node / node_count are what the *job* records
@@ -119,6 +186,28 @@ struct JobRow {
   }
 };
 
+/// `state` is written as its core::to_string name.
+inline constexpr auto kJobSchema = schema<JobRow>(
+    "jobs", Written::Always, col("id", &JobRow::id), col("name", &JobRow::name),
+    col("state", &JobRow::state), col("npes", &JobRow::npes),
+    col("binary_bytes", &JobRow::binary_bytes),
+    col("pes_per_node", &JobRow::pes_per_node), col("row", &JobRow::row),
+    col("first_node", &JobRow::first_node),
+    col("node_count", &JobRow::node_count), col("placed", &JobRow::placed),
+    col("placement_row", &JobRow::placement_row),
+    col("placement_first", &JobRow::placement_first),
+    col("placement_count", &JobRow::placement_count),
+    col("incarnation", &JobRow::incarnation),
+    col("restarts", &JobRow::restarts), col("submit_ns", &JobRow::submit_ns),
+    col("transfer_start_ns", &JobRow::transfer_start_ns),
+    col("transfer_done_ns", &JobRow::transfer_done_ns),
+    col("launch_issued_ns", &JobRow::launch_issued_ns),
+    col("started_ns", &JobRow::started_ns),
+    col("finished_ns", &JobRow::finished_ns),
+    col("last_requeue_ns", &JobRow::last_requeue_ns),
+    col("first_proc_started_ns", &JobRow::first_proc_started_ns),
+    col("last_proc_exited_ns", &JobRow::last_proc_exited_ns));
+
 /// One incarnation of a job (kill-and-requeue bumps it). `live` means
 /// this incarnation is the current one AND in a state that owns
 /// cluster resources (Transferring/Ready/Launching/Running) — the
@@ -131,12 +220,21 @@ struct IncarnationRow {
   std::uint64_t trace = 0;  // telemetry::job_trace_id(job, inc)
 };
 
+inline constexpr auto kIncarnationSchema = schema<IncarnationRow>(
+    "incarnations", Written::Always, col("job", &IncarnationRow::job),
+    col("inc", &IncarnationRow::inc), col("current", &IncarnationRow::current),
+    col("live", &IncarnationRow::live), col("trace", &IncarnationRow::trace));
+
 /// One occupied Ousterhout matrix cell.
 struct MatrixSlotRow {
   int row = 0;
   int node = 0;
   core::JobId job = core::kInvalidJob;
 };
+
+inline constexpr auto kMatrixSlotSchema = schema<MatrixSlotRow>(
+    "matrix_slots", Written::Always, col("row", &MatrixSlotRow::row),
+    col("node", &MatrixSlotRow::node), col("job", &MatrixSlotRow::job));
 
 /// One registry instrument, flattened: kind selects which fields are
 /// meaningful (counter → count; gauge → value; histogram → count /
@@ -150,6 +248,12 @@ struct MetricRow {
   std::int64_t min = 0;
   std::int64_t max = 0;
 };
+
+inline constexpr auto kMetricSchema = schema<MetricRow>(
+    "metrics", Written::Always, col("name", &MetricRow::name),
+    col("kind", &MetricRow::kind), col("count", &MetricRow::count),
+    col("value", &MetricRow::value), col("sum", &MetricRow::sum),
+    col("min", &MetricRow::min), col("max", &MetricRow::max));
 
 /// One MM replica of the quorum-replication group (empty relation when
 /// replication is disabled — the snapshot then omits the table
@@ -170,6 +274,16 @@ struct ReplicaRow {
   std::int64_t floor_index = 0;
   std::uint64_t floor_digest = 0;
 };
+
+inline constexpr auto kReplicaSchema = schema<ReplicaRow>(
+    "replicas", Written::WhenNonEmpty, col("rank", &ReplicaRow::rank),
+    col("node", &ReplicaRow::node), col("role", &ReplicaRow::role),
+    col("term", &ReplicaRow::term), col("commit", &ReplicaRow::commit),
+    col("applied", &ReplicaRow::applied),
+    col("log_size", &ReplicaRow::log_size),
+    col("lease_ns", &ReplicaRow::lease_ns),
+    col("floor_index", &ReplicaRow::floor_index),
+    col("floor_digest", &ReplicaRow::floor_digest));
 
 /// One recorded window of one time series (DESIGN.md §3.7): the
 /// flattened form of a telemetry::TimeSeriesStore point. `kind`
@@ -192,6 +306,17 @@ struct SeriesPointRow {
   double p99 = 0.0;
 };
 
+inline constexpr auto kSeriesPointSchema = schema<SeriesPointRow>(
+    "timeseries", Written::WhenNonEmpty,
+    col("window", &SeriesPointRow::window),
+    col("t_start_ns", &SeriesPointRow::t_start_ns),
+    col("t_end_ns", &SeriesPointRow::t_end_ns),
+    col("name", &SeriesPointRow::name), col("kind", &SeriesPointRow::kind),
+    col("delta", &SeriesPointRow::delta), col("value", &SeriesPointRow::value),
+    col("count", &SeriesPointRow::count), col("sum", &SeriesPointRow::sum),
+    col("p50", &SeriesPointRow::p50), col("p90", &SeriesPointRow::p90),
+    col("p99", &SeriesPointRow::p99));
+
 /// One fired watchdog rule (first window of a breach episode).
 struct BreachRow {
   std::string rule;
@@ -201,6 +326,12 @@ struct BreachRow {
   double value = 0.0;
   double threshold = 0.0;
 };
+
+inline constexpr auto kBreachSchema = schema<BreachRow>(
+    "breaches", Written::WhenNonEmpty, col("rule", &BreachRow::rule),
+    col("metric", &BreachRow::metric), col("window", &BreachRow::window),
+    col("t_ns", &BreachRow::t_ns), col("value", &BreachRow::value),
+    col("threshold", &BreachRow::threshold));
 
 /// One causal-tracing span (mirrors telemetry::SpanRecord; `kind` is
 /// the raw SpanKind value — views map it to its name).
@@ -217,6 +348,13 @@ struct SpanRow {
 
   bool open() const { return t_end_ns < 0; }
 };
+
+inline constexpr auto kSpanSchema = schema<SpanRow>(
+    "spans", Written::Always, col("trace", &SpanRow::trace),
+    col("span", &SpanRow::span), col("parent", &SpanRow::parent),
+    col("t_start_ns", &SpanRow::t_start_ns),
+    col("t_end_ns", &SpanRow::t_end_ns), col("node", &SpanRow::node),
+    col("kind", &SpanRow::kind), col("a", &SpanRow::a), col("b", &SpanRow::b));
 
 /// The tables plus the meta header. Built either live
 /// (tables.hpp: relations scan the cluster at each use) or from a

@@ -317,4 +317,31 @@ inline void update_overhead_ratio(MetricsRegistry& reg) {
   reg.gauge(kOverheadRatioGauge).set(c + p > 0.0 ? c / (c + p) : 0.0);
 }
 
+/// Appends `s` to `out` as a quoted JSON string. Quote, backslash,
+/// newline, carriage return and tab get their two-character escapes,
+/// other control bytes `\u00XX`. Shared by the `storm.*.v1` writers
+/// that emit names.
+inline void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
 }  // namespace storm::telemetry

@@ -22,28 +22,6 @@ void put_d(std::string& out, double v) {
   out += buf;
 }
 
-std::string esc(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 const std::string kOverheadRatioName{kOverheadRatioGauge};
 const std::string kBreachCounterName = "watchdog.breaches";
 
@@ -261,7 +239,9 @@ std::string TimeSeriesStore::to_json() const {
   for (const auto& [name, s] : series) {
     o += first ? "\n" : ",\n";
     first = false;
-    o += "    \"" + esc(name) + "\": {\"kind\": \"";
+    o += "    ";
+    append_json_string(o, name);
+    o += ": {\"kind\": \"";
     o += to_string(s.kind);
     o += "\", \"points\": [";
     bool fp = true;
@@ -315,8 +295,11 @@ std::string TimeSeriesStore::to_json() const {
   for (const auto& b : breaches) {
     o += fb ? "\n" : ",\n";
     fb = false;
-    o += "    {\"rule\": \"" + esc(b.rule) + "\", \"metric\": \"" +
-         esc(b.metric) + "\", \"window\": ";
+    o += "    {\"rule\": ";
+    append_json_string(o, b.rule);
+    o += ", \"metric\": ";
+    append_json_string(o, b.metric);
+    o += ", \"window\": ";
     put_i(o, b.window);
     o += ", \"t_ns\": ";
     put_i(o, b.t_ns);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace storm::net {
 namespace {
 
@@ -26,6 +28,13 @@ struct ConvergeCase {
   int nodes;
   double cable;
 };
+
+// Prints the case as its test-ID suffix: CMake's test discovery puts
+// the printed value in place of the gtest index, so the ctest name
+// reads "/n64_cable100m" rather than the struct's raw bytes, padding included.
+void PrintTo(const ConvergeCase& c, std::ostream* os) {
+  *os << 'n' << c.nodes << "_cable" << c.cable << 'm';
+}
 
 class ReplayVsModel : public ::testing::TestWithParam<ConvergeCase> {};
 

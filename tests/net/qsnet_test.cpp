@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 namespace storm::net {
@@ -26,6 +27,13 @@ struct Tab4Cell {
   double mb_per_s;   // value printed in Table 4
   double tol_frac;   // acceptable relative error
 };
+
+// Prints the case as its test-ID suffix: CMake's test discovery puts
+// the printed value in place of the gtest index, so the ctest name
+// reads "/n64_cable100m" rather than the struct's raw bytes, padding included.
+void PrintTo(const Tab4Cell& c, std::ostream* os) {
+  *os << 'n' << c.nodes << "_cable" << c.cable_m << 'm';
+}
 
 class BroadcastModelTable4 : public ::testing::TestWithParam<Tab4Cell> {};
 

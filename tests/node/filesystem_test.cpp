@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "node/machine.hpp"
 
 namespace storm::node {
@@ -19,6 +21,16 @@ struct Fig6Cell {
   BufferPlace place;
   double mb_per_s;
 };
+
+// Prints the case as its test-ID suffix: CMake's test discovery puts
+// the printed value in place of the gtest index, so the ctest name
+// reads "/nfs_nic" rather than the struct's raw bytes, padding included.
+void PrintTo(const Fig6Cell& c, std::ostream* os) {
+  *os << (c.kind == FsKind::Nfs         ? "nfs"
+          : c.kind == FsKind::LocalDisk ? "localdisk"
+                                        : "ramdisk")
+      << (c.place == BufferPlace::NicMemory ? "_nic" : "_main");
+}
 
 class Figure6Read : public ::testing::TestWithParam<Fig6Cell> {};
 
