@@ -66,12 +66,12 @@ int part1_hardware_failures() {
   sim.schedule_at(sim::SimTime::millis(1017), [&] {
     killed_11 = sim.now().to_seconds();
     std::printf("[%8.3f s] node 11 dies\n", killed_11);
-    cluster.fail_node(11);
+    cluster.crash_node(11);
   });
   sim.schedule_at(sim::SimTime::millis(2519), [&] {
     killed_23 = sim.now().to_seconds();
     std::printf("[%8.3f s] node 23 dies\n", killed_23);
-    cluster.fail_node(23);
+    cluster.crash_node(23);
   });
 
   sim.run(5_sec);

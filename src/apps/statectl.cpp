@@ -19,11 +19,15 @@
 // With `--state -` statectl reads stdin and locates the snapshot
 // inside mixed output (benches print their tables first and the
 // snapshot last), so piping a harness straight in Just Works.
+//
+// A usage error (unknown flag, missing or malformed value) exits 2
+// with the usage text.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 
-#include "bench/common.hpp"
 #include "query/invariants.hpp"
 #include "query/snapshot.hpp"
 #include "query/views.hpp"
@@ -54,6 +58,18 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// A whole-string decimal integer >= `min`.
+bool parse_int(std::string_view text, int min, int& out) {
+  int v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || v < min) {
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 bool read_stream(std::FILE* f, std::string& out) {
   char buf[1 << 16];
   std::size_t n = 0;
@@ -78,32 +94,41 @@ int main(int argc, char** argv) {
   if (cmd == "--help" || cmd == "-h") return usage(argv[0]);
 
   query::ViewOptions opt;
+  const char* path = nullptr;
+  // The integer flags and the least value each accepts.
+  struct IntFlag {
+    std::string_view name;
+    int* dst;
+    int min;
+  };
+  const IntFlag int_flags[] = {{"--job", &opt.job, 0},
+                               {"--top", &opt.top, 1},
+                               {"--windows", &opt.windows, 1}};
   for (int i = 2; i < argc; ++i) {
-    const auto int_arg = [&](const char* flag, int& dst) {
-      if (std::strcmp(argv[i], flag) != 0) return true;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", argv[0], flag);
-        return false;
-      }
-      dst = std::atoi(argv[++i]);
-      return true;
-    };
-    if (!int_arg("--job", opt.job) || !int_arg("--top", opt.top) ||
-        !int_arg("--windows", opt.windows)) {
-      return 2;
+    const std::string_view flag = argv[i];
+    const IntFlag* int_flag = nullptr;
+    for (const IntFlag& f : int_flags) {
+      if (f.name == flag) int_flag = &f;
     }
-    if (std::strcmp(argv[i], "--prefix") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --prefix requires a value\n", argv[0]);
-        return 2;
-      }
-      opt.prefix = argv[++i];
+    if (int_flag == nullptr && flag != "--prefix" && flag != "--state") {
+      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], argv[i]);
+      return usage(argv[0]);
+    }
+    if (i + 1 >= argc || (flag == "--state" && argv[i + 1][0] == '\0')) {
+      std::fprintf(stderr, "%s: %s requires a value\n", argv[0], argv[i]);
+      return usage(argv[0]);
+    }
+    const char* value = argv[++i];
+    if (flag == "--prefix") {
+      opt.prefix = value;
+    } else if (flag == "--state") {
+      path = value;
+    } else if (!parse_int(value, int_flag->min, *int_flag->dst)) {
+      std::fprintf(stderr, "%s: %s takes an integer >= %d, not '%s'\n",
+                   argv[0], argv[i - 1], int_flag->min, value);
+      return usage(argv[0]);
     }
   }
-
-  // Reuses the bench flag parser: a trailing `--state` with no path is
-  // the same usage error a harness gives (exit 2).
-  const char* path = bench::parse_out_path(argc, argv, "--state");
   if (path == nullptr) {
     std::fprintf(stderr, "%s: --state <file|-> is required\n", argv[0]);
     return usage(argv[0]);
@@ -144,17 +169,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: bad snapshot: %s\n", argv[0], err.c_str());
     return 1;
   }
-  const query::TableSet tables = snap.tables();
 
   if (cmd == "check") {
-    const query::InvariantReport report = query::check_invariants(tables);
+    const query::InvariantReport report = query::check_invariants(snap);
     const std::string summary = report.summary();
     std::printf("%s%s", summary.c_str(),
                 summary.ends_with('\n') ? "" : "\n");
     return report.ok() ? 0 : 1;
   }
 
-  const std::string out = query::render_view(cmd, tables, opt, &err);
+  const std::string out = query::render_view(cmd, snap, opt, &err);
   if (!err.empty()) {
     std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
     return usage(argv[0]);

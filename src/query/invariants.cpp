@@ -5,7 +5,6 @@
 #include <map>
 
 #include "fabric/message.hpp"
-#include "query/tables.hpp"
 #include "sim/simulator.hpp"
 #include "storm/cluster.hpp"
 
@@ -27,98 +26,90 @@ bool ranges_overlap(int first_a, int count_a, int first_b, int count_b) {
 // "No two live incarnations share a matrix slot": every occupied cell
 // is owned by a job that exists, is in a resource-owning state, and
 // whose recorded placement covers exactly that cell.
-void slot_owner_live(const TableSet& t, std::vector<Violation>& out) {
-  const auto joined = t.matrix_slots.join<JobRow, int>(
-      t.jobs, [](const MatrixSlotRow& s) { return s.job; },
-      [](const JobRow& j) { return j.id; });
-  std::size_t matched = 0;
-  joined.for_each([&](const std::pair<MatrixSlotRow, JobRow>& p) {
-    const auto& [slot, job] = p;
-    ++matched;
-    if (!occupies_resources(job.state)) {
-      out.push_back({"slot-owner-live",
-                     "cell (" + std::to_string(slot.row) + ", " +
-                         std::to_string(slot.node) + ") owned by " +
-                         job_label(job) + " in state " +
-                         core::to_string(job.state)});
-    } else if (!job.placed || slot.row != job.placement_row ||
-               slot.node < job.placement_first ||
-               slot.node >= job.placement_first + job.placement_count) {
-      out.push_back({"slot-owner-live",
-                     "cell (" + std::to_string(slot.row) + ", " +
-                         std::to_string(slot.node) +
-                         ") outside the placement of " + job_label(job)});
+void slot_owner_live(const StateSnapshot& t, std::vector<Violation>& out) {
+  std::multimap<core::JobId, const JobRow*> by_id;
+  for (const JobRow& j : t.jobs) by_id.emplace(j.id, &j);
+  std::vector<const MatrixSlotRow*> unknown;
+  for (const MatrixSlotRow& slot : t.matrix_slots) {
+    const auto [lo, hi] = by_id.equal_range(slot.job);
+    if (lo == hi) unknown.push_back(&slot);
+    for (auto it = lo; it != hi; ++it) {
+      const JobRow& job = *it->second;
+      if (!occupies_resources(job.state)) {
+        out.push_back({"slot-owner-live",
+                       "cell (" + std::to_string(slot.row) + ", " +
+                           std::to_string(slot.node) + ") owned by " +
+                           job_label(job) + " in state " +
+                           core::to_string(job.state)});
+      } else if (!job.placed || slot.row != job.placement_row ||
+                 slot.node < job.placement_first ||
+                 slot.node >= job.placement_first + job.placement_count) {
+        out.push_back({"slot-owner-live",
+                       "cell (" + std::to_string(slot.row) + ", " +
+                           std::to_string(slot.node) +
+                           ") outside the placement of " + job_label(job)});
+      }
     }
-  });
-  if (matched != t.matrix_slots.count()) {
-    t.matrix_slots
-        .where([&](const MatrixSlotRow& s) {
-          return !t.jobs.any([&](const JobRow& j) { return j.id == s.job; });
-        })
-        .for_each([&](const MatrixSlotRow& s) {
-          out.push_back({"slot-owner-live",
-                         "cell (" + std::to_string(s.row) + ", " +
-                             std::to_string(s.node) + ") owned by unknown job " +
-                             std::to_string(s.job)});
-        });
+  }
+  for (const MatrixSlotRow* s : unknown) {
+    out.push_back({"slot-owner-live",
+                   "cell (" + std::to_string(s->row) + ", " +
+                       std::to_string(s->node) + ") owned by unknown job " +
+                       std::to_string(s->job)});
   }
 }
 
 // The job-recorded allocation and the matrix placement never diverge,
 // and (gang scheduling) a resource-owning job always holds a placement.
-void placement_allocation_agree(const TableSet& t,
+void placement_allocation_agree(const StateSnapshot& t,
                                 std::vector<Violation>& out) {
-  t.jobs.where([](const JobRow& j) { return j.placed; })
-      .for_each([&](const JobRow& j) {
-        if (j.row != j.placement_row || j.first_node != j.placement_first ||
-            j.node_count != j.placement_count) {
-          out.push_back(
-              {"placement-allocation-agree",
-               job_label(j) + " records allocation (row " +
-                   std::to_string(j.row) + ", nodes " +
-                   std::to_string(j.first_node) + "+" +
-                   std::to_string(j.node_count) + ") but the matrix holds (row " +
-                   std::to_string(j.placement_row) + ", nodes " +
-                   std::to_string(j.placement_first) + "+" +
-                   std::to_string(j.placement_count) + ")"});
-        }
-      });
+  for (const JobRow& j : t.jobs) {
+    if (j.placed && (j.row != j.placement_row ||
+                     j.first_node != j.placement_first ||
+                     j.node_count != j.placement_count)) {
+      out.push_back(
+          {"placement-allocation-agree",
+           job_label(j) + " records allocation (row " +
+               std::to_string(j.row) + ", nodes " +
+               std::to_string(j.first_node) + "+" +
+               std::to_string(j.node_count) + ") but the matrix holds (row " +
+               std::to_string(j.placement_row) + ", nodes " +
+               std::to_string(j.placement_first) + "+" +
+               std::to_string(j.placement_count) + ")"});
+    }
+  }
   if (t.meta.scheduler == "gang") {
-    t.jobs
-        .where([](const JobRow& j) {
-          return occupies_resources(j.state) && !j.placed;
-        })
-        .for_each([&](const JobRow& j) {
-          out.push_back({"placement-allocation-agree",
-                         job_label(j) + " is " + core::to_string(j.state) +
-                             " but holds no matrix placement"});
-        });
+    for (const JobRow& j : t.jobs) {
+      if (occupies_resources(j.state) && !j.placed) {
+        out.push_back({"placement-allocation-agree",
+                       job_label(j) + " is " + core::to_string(j.state) +
+                           " but holds no matrix placement"});
+      }
+    }
   }
 }
 
 // Live allocations in the same timeslot are disjoint. Skipped for the
 // locally-scheduled foils (LocalOs / implicit coscheduling), whose
 // whole point is uncoordinated node sharing.
-void live_allocations_disjoint(const TableSet& t,
+void live_allocations_disjoint(const StateSnapshot& t,
                                std::vector<Violation>& out) {
   if (t.meta.scheduler == "local-os" ||
       t.meta.scheduler == "implicit-cosched") {
     return;
   }
-  const std::vector<JobRow> live =
-      t.jobs
-          .where([](const JobRow& j) {
-            return occupies_resources(j.state) && j.node_count > 0;
-          })
-          .rows();
+  std::vector<const JobRow*> live;
+  for (const JobRow& j : t.jobs) {
+    if (occupies_resources(j.state) && j.node_count > 0) live.push_back(&j);
+  }
   for (std::size_t a = 0; a < live.size(); ++a) {
     for (std::size_t b = a + 1; b < live.size(); ++b) {
-      if (live[a].row != live[b].row) continue;
-      if (ranges_overlap(live[a].first_node, live[a].node_count,
-                         live[b].first_node, live[b].node_count)) {
+      if (live[a]->row != live[b]->row) continue;
+      if (ranges_overlap(live[a]->first_node, live[a]->node_count,
+                         live[b]->first_node, live[b]->node_count)) {
         out.push_back({"live-allocations-disjoint",
-                       job_label(live[a]) + " and " + job_label(live[b]) +
-                           " overlap in row " + std::to_string(live[a].row)});
+                       job_label(*live[a]) + " and " + job_label(*live[b]) +
+                           " overlap in row " + std::to_string(live[a]->row)});
       }
     }
   }
@@ -126,46 +117,46 @@ void live_allocations_disjoint(const TableSet& t,
 
 // Plane-failed (NIC ground truth) implies idle Program Launchers: a
 // dead node's PEs died with it.
-void failed_node_pl_idle(const TableSet& t, std::vector<Violation>& out) {
-  t.nodes
-      .where([](const NodeRow& n) { return n.failed && n.pl_busy > 0; })
-      .for_each([&](const NodeRow& n) {
-        out.push_back({"failed-node-pl-idle",
-                       "node " + std::to_string(n.node) + " is failed but " +
-                           std::to_string(n.pl_busy) +
-                           " launcher slot(s) are busy"});
-      });
+void failed_node_pl_idle(const StateSnapshot& t,
+                         std::vector<Violation>& out) {
+  for (const NodeRow& n : t.nodes) {
+    if (n.failed && n.pl_busy > 0) {
+      out.push_back({"failed-node-pl-idle",
+                     "node " + std::to_string(n.node) + " is failed but " +
+                         std::to_string(n.pl_busy) +
+                         " launcher slot(s) are busy"});
+    }
+  }
 }
 
 // Matrix-evicted (declared knowledge) implies the node owns no cells
 // and no live placement spans it. The window between a crash and its
 // heartbeat declaration is legitimate and not covered here — that is
 // exactly why this keys on `evicted`, not on the plane bit.
-void evicted_node_unused(const TableSet& t, std::vector<Violation>& out) {
-  const std::vector<NodeRow> evicted =
-      t.nodes.where([](const NodeRow& n) { return n.evicted; }).rows();
-  if (evicted.empty()) return;
-  for (const NodeRow& n : evicted) {
+void evicted_node_unused(const StateSnapshot& t,
+                         std::vector<Violation>& out) {
+  std::vector<int> evicted;
+  for (const NodeRow& n : t.nodes) {
+    if (!n.evicted) continue;
+    evicted.push_back(n.node);
     if (n.matrix_cells > 0) {
       out.push_back({"evicted-node-unused",
                      "node " + std::to_string(n.node) + " is evicted but owns " +
                          std::to_string(n.matrix_cells) + " matrix cell(s)"});
     }
   }
-  t.jobs
-      .where([](const JobRow& j) {
-        return occupies_resources(j.state) && j.placed;
-      })
-      .for_each([&](const JobRow& j) {
-        for (const NodeRow& n : evicted) {
-          if (n.node >= j.placement_first &&
-              n.node < j.placement_first + j.placement_count) {
-            out.push_back({"evicted-node-unused",
-                           job_label(j) + "'s placement spans evicted node " +
-                               std::to_string(n.node)});
-          }
-        }
-      });
+  if (evicted.empty()) return;
+  for (const JobRow& j : t.jobs) {
+    if (!occupies_resources(j.state) || !j.placed) continue;
+    for (const int node : evicted) {
+      if (node >= j.placement_first &&
+          node < j.placement_first + j.placement_count) {
+        out.push_back({"evicted-node-unused",
+                       job_label(j) + "'s placement spans evicted node " +
+                           std::to_string(node)});
+      }
+    }
+  }
 }
 
 // Every clean node's heartbeat word tracks the MM's epoch within the
@@ -173,33 +164,29 @@ void evicted_node_unused(const TableSet& t, std::vector<Violation>& out) {
 // flight). Nodes with word 0 have not joined the heartbeat protocol
 // yet (startup, or a recovery wipe before the next round) and are
 // skipped, as are suspects.
-void heartbeat_fresh(const TableSet& t, std::vector<Violation>& out) {
+void heartbeat_fresh(const StateSnapshot& t, std::vector<Violation>& out) {
   if (!t.meta.heartbeat_enabled || t.meta.hb_epoch <= 0) return;
   const std::int64_t slack = t.meta.heartbeat_miss_periods + 1;
   const std::int64_t epoch = t.meta.hb_epoch;
-  t.nodes
-      .where([&](const NodeRow& n) {
-        return !suspect(n) && n.heartbeat > 0 &&
-               epoch - n.heartbeat > slack;
-      })
-      .for_each([&](const NodeRow& n) {
-        out.push_back(
-            {"heartbeat-fresh",
-             "node " + std::to_string(n.node) + " heartbeat word " +
-                 std::to_string(n.heartbeat) + " lags epoch " +
-                 std::to_string(epoch) + " beyond the slack of " +
-                 std::to_string(slack) + " without being declared dead"});
-      });
+  for (const NodeRow& n : t.nodes) {
+    if (suspect(n) || n.heartbeat <= 0 || epoch - n.heartbeat <= slack) {
+      continue;
+    }
+    out.push_back(
+        {"heartbeat-fresh",
+         "node " + std::to_string(n.node) + " heartbeat word " +
+             std::to_string(n.heartbeat) + " lags epoch " +
+             std::to_string(epoch) + " beyond the slack of " +
+             std::to_string(slack) + " without being declared dead"});
+  }
 }
 
 // The MM's queue length equals the number of Queued jobs, and (until a
 // failover rebuilds MM-local counters) its completed count equals the
 // number of terminal jobs.
-void queue_accounting(const TableSet& t, std::vector<Violation>& out) {
-  const std::int64_t queued = static_cast<std::int64_t>(
-      t.jobs.count([](const JobRow& j) {
-        return j.state == core::JobState::Queued;
-      }));
+void queue_accounting(const StateSnapshot& t, std::vector<Violation>& out) {
+  const std::int64_t queued = std::ranges::count(
+      t.jobs, core::JobState::Queued, &JobRow::state);
   if (queued != t.meta.queued) {
     out.push_back({"queue-accounting",
                    "MM queue holds " + std::to_string(t.meta.queued) +
@@ -207,8 +194,8 @@ void queue_accounting(const TableSet& t, std::vector<Violation>& out) {
                        " job(s) are Queued"});
   }
   if (!t.meta.standby_active) {
-    const std::int64_t terminal = static_cast<std::int64_t>(
-        t.jobs.count([](const JobRow& j) { return j.terminal(); }));
+    const std::int64_t terminal =
+        std::ranges::count_if(t.jobs, &JobRow::terminal);
     if (terminal != t.meta.completed) {
       out.push_back({"queue-accounting",
                      "MM observed " + std::to_string(t.meta.completed) +
@@ -220,17 +207,17 @@ void queue_accounting(const TableSet& t, std::vector<Violation>& out) {
 
 // Timestamps of a completed job are monotone through the lifecycle and
 // the restart budget is honoured.
-void job_lifecycle(const TableSet& t, std::vector<Violation>& out) {
+void job_lifecycle(const StateSnapshot& t, std::vector<Violation>& out) {
   const int restart_cap = t.meta.max_job_restarts + 1;  // final kill may
                                                         // bump once more
-  t.jobs.for_each([&](const JobRow& j) {
+  for (const JobRow& j : t.jobs) {
     if (j.restarts > restart_cap) {
       out.push_back({"job-lifecycle",
                      job_label(j) + " has " + std::to_string(j.restarts) +
                          " restarts, over the budget of " +
                          std::to_string(t.meta.max_job_restarts)});
     }
-    if (j.state != core::JobState::Completed) return;
+    if (j.state != core::JobState::Completed) continue;
     const std::pair<const char*, std::int64_t> chain[] = {
         {"submit", j.submit_ns},
         {"transfer_start", j.transfer_start_ns},
@@ -257,28 +244,28 @@ void job_lifecycle(const TableSet& t, std::vector<Violation>& out) {
       out.push_back({"job-lifecycle",
                      job_label(j) + ": last PE exit precedes first PE start"});
     }
-  });
+  }
 }
 
 // Counters are non-negative; histogram count/sum/min/max are mutually
 // consistent.
-void metrics_sane(const TableSet& t, std::vector<Violation>& out) {
-  t.metrics.for_each([&](const MetricRow& m) {
+void metrics_sane(const StateSnapshot& t, std::vector<Violation>& out) {
+  for (const MetricRow& m : t.metrics) {
     if (m.kind == "counter") {
       if (m.count < 0) {
         out.push_back({"metrics-sane",
                        "counter " + m.name + " is negative (" +
                            std::to_string(m.count) + ")"});
       }
-      return;
+      continue;
     }
-    if (m.kind != "histogram") return;
+    if (m.kind != "histogram") continue;
     if (m.count < 0) {
       out.push_back({"metrics-sane", "histogram " + m.name +
                                          " has negative count"});
-      return;
+      continue;
     }
-    if (m.count == 0) return;
+    if (m.count == 0) continue;
     if (m.min > m.max || m.sum < m.count * m.min ||
         m.sum > m.count * m.max) {
       out.push_back({"metrics-sane",
@@ -288,16 +275,16 @@ void metrics_sane(const TableSet& t, std::vector<Violation>& out) {
                          std::to_string(m.min) + ", max " +
                          std::to_string(m.max) + ")"});
     }
-  });
+  }
 }
 
 // The time-series flight recorder (§3.7) must emit windows that are
 // physically possible: positive window spans, non-negative counter
 // deltas and sketch counts, monotone quantiles, and a time-major scan
 // order (the order visit_points/the snapshot writer guarantee).
-void timeseries_sane(const TableSet& t, std::vector<Violation>& out) {
+void timeseries_sane(const StateSnapshot& t, std::vector<Violation>& out) {
   std::int64_t prev_window = std::numeric_limits<std::int64_t>::min();
-  t.timeseries.for_each([&](const SeriesPointRow& r) {
+  for (const SeriesPointRow& r : t.timeseries) {
     if (r.t_end_ns <= r.t_start_ns) {
       out.push_back({"timeseries-sane",
                      "series " + r.name + " window " +
@@ -329,26 +316,24 @@ void timeseries_sane(const TableSet& t, std::vector<Violation>& out) {
                            " has non-monotone quantiles"});
       }
     }
-  });
-  t.breaches.for_each([&](const BreachRow& b) {
+  }
+  for (const BreachRow& b : t.breaches) {
     if (b.rule.empty() || b.metric.empty()) {
       out.push_back({"timeseries-sane",
                      "breach at window " + std::to_string(b.window) +
                          " lacks a rule or metric"});
     }
-  });
+  }
 }
 
 // Per MsgClass, the fabric outcome counters partition the observed
 // wire ops exactly: wire_ops == delivered + multicasts + xfers + caw +
 // dropped (see MetricsAggregator).
-void msgclass_reconcile(const TableSet& t, std::vector<Violation>& out) {
-  const std::map<std::string, std::int64_t> counters =
-      t.metrics
-          .where([](const MetricRow& m) { return m.kind == "counter"; })
-          .group_by<std::string, std::int64_t>(
-              [](const MetricRow& m) { return m.name; }, 0,
-              [](std::int64_t& acc, const MetricRow& m) { acc = m.count; });
+void msgclass_reconcile(const StateSnapshot& t, std::vector<Violation>& out) {
+  std::map<std::string, std::int64_t> counters;
+  for (const MetricRow& m : t.metrics) {
+    if (m.kind == "counter") counters[m.name] = m.count;
+  }
   const auto get = [&](const std::string& name) {
     const auto it = counters.find(name);
     return it == counters.end() ? 0 : it->second;
@@ -379,13 +364,12 @@ void msgclass_reconcile(const TableSet& t, std::vector<Violation>& out) {
 // expired, and repl_election_base > repl_lease) make two same-term
 // leaders impossible by construction; this checks the construction.
 // Empty `replicas` table (replication disabled) trivially holds.
-void at_most_one_leader_per_term(const TableSet& t,
+void at_most_one_leader_per_term(const StateSnapshot& t,
                                  std::vector<Violation>& out) {
-  const std::map<std::int64_t, std::int64_t> leaders =
-      t.replicas.where([](const ReplicaRow& r) { return r.role == "leader"; })
-          .group_by<std::int64_t, std::int64_t>(
-              [](const ReplicaRow& r) { return r.term; }, 0,
-              [](std::int64_t& acc, const ReplicaRow&) { ++acc; });
+  std::map<std::int64_t, std::int64_t> leaders;  // term -> claimants
+  for (const ReplicaRow& r : t.replicas) {
+    if (r.role == "leader") ++leaders[r.term];
+  }
   for (const auto& [term, count] : leaders) {
     if (count > 1) {
       out.push_back({"at-most-one-leader-per-term",
@@ -399,9 +383,9 @@ void at_most_one_leader_per_term(const TableSet& t,
 // group-wide commit floor, all rolling digests are identical. A
 // divergence means two replicas applied different entries at the same
 // index — the one thing a replicated log must never do.
-void committed_prefix_agreement(const TableSet& t,
+void committed_prefix_agreement(const StateSnapshot& t,
                                 std::vector<Violation>& out) {
-  const std::vector<ReplicaRow> reps = t.replicas.rows();
+  const std::vector<ReplicaRow>& reps = t.replicas;
   if (reps.size() < 2) return;
   const ReplicaRow& ref = reps.front();
   for (std::size_t i = 1; i < reps.size(); ++i) {
@@ -470,17 +454,17 @@ const std::vector<Invariant>& invariant_registry() {
   return registry;
 }
 
-InvariantReport check_invariants(const TableSet& t) {
+InvariantReport check_invariants(const StateSnapshot& s) {
   InvariantReport report;
   for (const Invariant& inv : invariant_registry()) {
-    inv.check(t, report.violations);
+    inv.check(s, report.violations);
     ++report.invariants_run;
   }
   return report;
 }
 
 InvariantReport check_invariants(core::Cluster& cluster) {
-  return check_invariants(live_tables(cluster));
+  return check_invariants(capture(cluster));
 }
 
 std::string InvariantReport::summary() const {

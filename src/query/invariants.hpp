@@ -1,8 +1,8 @@
 // Invariants-as-queries (DESIGN.md §3.5): a registry of named
-// predicates over a TableSet, each expressed with the relational
-// combinators, so the same checks run against a live cluster from
-// tests, against a parsed `storm.state.v1` snapshot from `statectl
-// check`, and periodically *inside* a simulation via InvariantProbe.
+// predicates over a StateSnapshot, each a plain loop over its tables,
+// so the same checks run against a captured live cluster from tests,
+// against a parsed `storm.state.v1` snapshot from `statectl check`,
+// and periodically *inside* a simulation via InvariantProbe.
 //
 // Formulation note — declared vs ground truth. The state plane's
 // failed bit is what the NIC knows the instant a node dies; the MM's
@@ -22,12 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "query/rows.hpp"
+#include "query/snapshot.hpp"
 #include "sim/time.hpp"
-
-namespace storm::core {
-class Cluster;
-}
 
 namespace storm::query {
 
@@ -48,20 +44,20 @@ struct InvariantReport {
 struct Invariant {
   std::string name;
   std::string description;
-  std::function<void(const TableSet&, std::vector<Violation>&)> check;
+  std::function<void(const StateSnapshot&, std::vector<Violation>&)> check;
 };
 
 /// The built-in invariant registry (fixed order).
 const std::vector<Invariant>& invariant_registry();
 
-/// Run every registered invariant against `t`.
-InvariantReport check_invariants(const TableSet& t);
+/// Run every registered invariant against `s`.
+InvariantReport check_invariants(const StateSnapshot& s);
 
-/// Convenience: build live tables and check them.
+/// check_invariants(capture(cluster)).
 InvariantReport check_invariants(core::Cluster& cluster);
 
 /// Periodic in-simulation checker: once armed, re-runs
-/// check_invariants over the live tables every `period` of simulated
+/// check_invariants over a fresh capture every `period` of simulated
 /// time and accumulates violations (the first kMaxViolations kept).
 /// Probe events are pure reads — they never touch cluster state,
 /// consume randomness, or alter the relative order of other events, so

@@ -1,5 +1,5 @@
 // A minimal JSON reader for the query layer: just enough to load
-// `storm.state.v1` snapshots back into a TableSet (statectl, CI
+// `storm.state.v1` snapshots back into a StateSnapshot (statectl, CI
 // round-trip tests). Recursive descent, no dependencies.
 //
 // Integers are kept exact: a numeric token with no fraction/exponent

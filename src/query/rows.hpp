@@ -1,18 +1,16 @@
 // Row types of the queryable state plane (DESIGN.md §3.5): one struct
-// per table, plus the ClusterMeta header every TableSet carries.
+// per table, plus the ClusterMeta header every StateSnapshot carries.
 //
-// Each row is a plain value — the *relations* over them are what stay
-// zero-copy (tables.hpp scans the live cluster structures and
-// manufactures rows on the fly; snapshot.hpp materializes the same
-// rows into vectors). Keeping the row types shared between the live
-// and snapshot paths is the whole point: an invariant or a canned view
-// written against these structs runs unchanged on a live Cluster and
-// on a parsed `storm.state.v1` file.
+// Each row is a plain value. capture() (snapshot.hpp) builds the rows
+// from a live cluster and from_json() loads them from a
+// `storm.state.v1` file, both into the same StateSnapshot vectors, so
+// an invariant or a canned view written against these structs runs
+// unchanged on a live run and on a file.
 //
 // Each row type is followed by its schema: the table name and the
 // ordered (column name, member) list that `storm.state.v1` writes and
 // loads (snapshot.cpp). A new column is one field, one schema entry and
-// one assignment in the live scan (tables.cpp).
+// one assignment in capture() (snapshot.cpp).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +18,6 @@
 #include <string_view>
 #include <tuple>
 
-#include "query/relation.hpp"
 #include "storm/job.hpp"
 
 namespace storm::query {
@@ -74,9 +71,7 @@ constexpr bool occupies_resources(core::JobState s) {
   return false;
 }
 
-/// Scalar cluster-level facts sampled when a TableSet is built. Unlike
-/// the relations (live scans), this is a value snapshot — rebuild the
-/// TableSet to refresh it.
+/// Scalar cluster-level facts sampled at capture time.
 struct ClusterMeta {
   int nodes = 0;
   int pls_per_node = 0;
@@ -255,7 +250,7 @@ inline constexpr auto kMetricSchema = schema<MetricRow>(
     col("value", &MetricRow::value), col("sum", &MetricRow::sum),
     col("min", &MetricRow::min), col("max", &MetricRow::max));
 
-/// One MM replica of the quorum-replication group (empty relation when
+/// One MM replica of the quorum-replication group (empty table when
 /// replication is disabled — the snapshot then omits the table
 /// entirely, keeping pre-replication goldens byte-identical).
 /// `floor_index` is the group-wide minimum commit at sample time and
@@ -355,25 +350,5 @@ inline constexpr auto kSpanSchema = schema<SpanRow>(
     col("t_start_ns", &SpanRow::t_start_ns),
     col("t_end_ns", &SpanRow::t_end_ns), col("node", &SpanRow::node),
     col("kind", &SpanRow::kind), col("a", &SpanRow::a), col("b", &SpanRow::b));
-
-/// The tables plus the meta header. Built either live
-/// (tables.hpp: relations scan the cluster at each use) or from a
-/// snapshot (snapshot.hpp: relations over materialized vectors); every
-/// consumer — views, invariants, tests — takes a TableSet and cannot
-/// tell the difference.
-struct TableSet {
-  ClusterMeta meta;
-  Relation<NodeRow> nodes;
-  Relation<JobRow> jobs;
-  Relation<IncarnationRow> incarnations;
-  Relation<MatrixSlotRow> matrix_slots;
-  Relation<MetricRow> metrics;
-  Relation<SpanRow> spans;
-  Relation<ReplicaRow> replicas;  // empty unless replication is enabled
-  // Both empty unless enable_timeseries() armed the flight recorder —
-  // like `replicas`, the snapshot omits the tables entirely then.
-  Relation<SeriesPointRow> timeseries;
-  Relation<BreachRow> breaches;
-};
 
 }  // namespace storm::query

@@ -1,43 +1,44 @@
 #include "query/snapshot.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <concepts>
 #include <cmath>
 #include <cstdio>
 #include <tuple>
-#include <type_traits>
 
+#include "net/qsnet.hpp"
 #include "query/json.hpp"
-#include "query/tables.hpp"
 #include "storm/cluster.hpp"
+#include "storm/machine_manager.hpp"
+#include "storm/protocol.hpp"
+#include "storm/replication/replication.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/timeseries.hpp"
+#include "telemetry/tracing.hpp"
 
 namespace storm::query {
 namespace {
 
-/// One state table: its schema and where its rows live in a
-/// StateSnapshot and in a TableSet.
+/// One state table: its schema and the StateSnapshot vector that
+/// holds its rows.
 template <typename S, typename Row>
 struct Table {
   S schema;
   std::vector<Row> StateSnapshot::*rows;
-  Relation<Row> TableSet::*relation;
 };
 
 /// The nine tables, in the order `storm.state.v1` writes them.
 constexpr auto kTables = std::tuple{
-    Table{kNodeSchema, &StateSnapshot::nodes, &TableSet::nodes},
-    Table{kJobSchema, &StateSnapshot::jobs, &TableSet::jobs},
-    Table{kIncarnationSchema, &StateSnapshot::incarnations,
-          &TableSet::incarnations},
-    Table{kMatrixSlotSchema, &StateSnapshot::matrix_slots,
-          &TableSet::matrix_slots},
-    Table{kMetricSchema, &StateSnapshot::metrics, &TableSet::metrics},
-    Table{kReplicaSchema, &StateSnapshot::replicas, &TableSet::replicas},
-    Table{kSeriesPointSchema, &StateSnapshot::timeseries,
-          &TableSet::timeseries},
-    Table{kBreachSchema, &StateSnapshot::breaches, &TableSet::breaches},
-    Table{kSpanSchema, &StateSnapshot::spans, &TableSet::spans},
+    Table{kNodeSchema, &StateSnapshot::nodes},
+    Table{kJobSchema, &StateSnapshot::jobs},
+    Table{kIncarnationSchema, &StateSnapshot::incarnations},
+    Table{kMatrixSlotSchema, &StateSnapshot::matrix_slots},
+    Table{kMetricSchema, &StateSnapshot::metrics},
+    Table{kReplicaSchema, &StateSnapshot::replicas},
+    Table{kSeriesPointSchema, &StateSnapshot::timeseries},
+    Table{kBreachSchema, &StateSnapshot::breaches},
+    Table{kSpanSchema, &StateSnapshot::spans},
 };
 
 template <typename F>
@@ -185,23 +186,204 @@ bool load_table(const json::Value& tables, const S& schema,
   return true;
 }
 
-}  // namespace
+// --- capture: fill the tables from a live cluster --------------------------
 
-TableSet StateSnapshot::tables() const {
-  TableSet t;
-  t.meta = meta;
-  for_each_table([&](const auto& d) {
-    using R = std::remove_reference_t<decltype(t.*d.relation)>;
-    t.*d.relation = R::of(this->*d.rows);
-  });
-  return t;
+ClusterMeta capture_meta(core::Cluster& cluster) {
+  const core::ClusterConfig& cfg = cluster.config();
+  core::MachineManager& mm = cluster.mm();
+  ClusterMeta m;
+  m.nodes = cfg.nodes;
+  m.pls_per_node = cluster.pls_per_node();
+  m.plane_mode = cfg.plane_mode;
+  m.scheduler = std::string(core::to_string(cfg.storm.scheduler));
+  m.quantum_ns = cfg.storm.quantum.raw_ns();
+  m.heartbeat_enabled = cfg.storm.heartbeat_enabled;
+  m.heartbeat_miss_periods = cfg.storm.heartbeat_miss_periods;
+  m.max_job_restarts = cfg.storm.max_job_restarts;
+  m.seed = cfg.seed;
+  m.sim_ns = cluster.sim().now().raw_ns();
+  m.mm_node = mm.node();
+  m.standby_active = cluster.mm_standby() != nullptr &&
+                     cluster.mm_standby()->active();
+  m.hb_epoch = mm.heartbeat_epoch();
+  m.queued = static_cast<std::int64_t>(mm.queued_count());
+  m.completed = mm.completed_count();
+  m.strobes = mm.strobes_issued();
+  m.matrix_rows = mm.matrix().rows();
+  return m;
 }
 
+/// Nodes and matrix slots together: the slot scan also counts each
+/// node's occupied cells.
+void capture_nodes(core::Cluster& c, StateSnapshot& s) {
+  const net::NodeStatePlane& plane = c.network().plane();
+  core::MachineManager& mm = c.mm();
+  const core::OusterhoutMatrix& matrix = mm.matrix();
+  const auto& dead = mm.failed_nodes();  // sorted ascending
+  const int nodes = c.config().nodes;
+  s.nodes.reserve(static_cast<std::size_t>(nodes));
+  for (int n = 0; n < nodes; ++n) {
+    NodeRow& r = s.nodes.emplace_back();
+    r.node = n;
+    r.failed = plane.failed(n);
+    r.crashed = c.node_crashed(n);
+    r.evicted = matrix.evicted(n);
+    r.mm_failed = std::binary_search(dead.begin(), dead.end(), n);
+    r.epoch = c.node_epoch(n);
+    r.heartbeat = plane.word(n, core::kHeartbeatAddr);
+    r.strobe_row = plane.word(n, core::kStrobeRowAddr);
+    r.pl_mask = plane.pl_mask(n);
+    r.pl_busy = __builtin_popcountll(r.pl_mask);
+  }
+  for (int row = 0; row < matrix.rows(); ++row) {
+    for (int node = 0; node < matrix.nodes(); ++node) {
+      const core::JobId j = matrix.cell_job(row, node);
+      if (j == core::kInvalidJob) continue;
+      s.matrix_slots.push_back({row, node, j});
+      ++s.nodes[static_cast<std::size_t>(node)].matrix_cells;
+    }
+  }
+}
+
+/// Jobs and their incarnations, both in job id order.
+void capture_jobs(core::Cluster& c, StateSnapshot& s) {
+  const core::OusterhoutMatrix& matrix = c.mm().matrix();
+  const int count = static_cast<int>(c.job_count());
+  s.jobs.reserve(static_cast<std::size_t>(count));
+  for (core::JobId id = 0; id < count; ++id) {
+    const core::Job& j = c.job(id);
+    JobRow& r = s.jobs.emplace_back();
+    r.id = id;
+    r.name = j.spec().name;
+    r.state = j.state();
+    r.npes = j.spec().npes;
+    r.binary_bytes = static_cast<std::int64_t>(j.spec().binary_size);
+    r.pes_per_node = j.pes_per_node();
+    r.row = j.row();
+    r.first_node = j.nodes().first;
+    r.node_count = j.nodes().count;
+    if (const auto p = matrix.placement(id)) {
+      r.placed = true;
+      r.placement_row = p->first;
+      r.placement_first = p->second.first;
+      r.placement_count = p->second.count;
+    }
+    r.incarnation = j.incarnation();
+    r.restarts = j.restarts();
+    const core::JobTimes& t = j.times();
+    r.submit_ns = t.submit.raw_ns();
+    r.transfer_start_ns = t.transfer_start.raw_ns();
+    r.transfer_done_ns = t.transfer_done.raw_ns();
+    r.launch_issued_ns = t.launch_issued.raw_ns();
+    r.started_ns = t.started.raw_ns();
+    r.finished_ns = t.finished.raw_ns();
+    r.last_requeue_ns = t.last_requeue.raw_ns();
+    r.first_proc_started_ns = t.first_proc_started.raw_ns();
+    r.last_proc_exited_ns = t.last_proc_exited.raw_ns();
+    for (int inc = 0; inc <= j.incarnation(); ++inc) {
+      const bool current = inc == j.incarnation();
+      s.incarnations.push_back({id, inc, current,
+                                current && occupies_resources(j.state()),
+                                telemetry::job_trace_id(id, inc)});
+    }
+  }
+}
+
+void capture_metrics(const telemetry::MetricsRegistry& reg, StateSnapshot& s) {
+  reg.for_each_counter(
+      [&](const std::string& name, const telemetry::Counter& m) {
+        s.metrics.push_back({.name = name, .kind = "counter",
+                             .count = m.value()});
+      });
+  reg.for_each_gauge([&](const std::string& name, const telemetry::Gauge& m) {
+    s.metrics.push_back({.name = name, .kind = "gauge", .value = m.value()});
+  });
+  reg.for_each_histogram(
+      [&](const std::string& name, const telemetry::Histogram& m) {
+        s.metrics.push_back({.name = name, .kind = "histogram",
+                             .count = m.count(), .sum = m.sum(),
+                             .min = m.min(), .max = m.max()});
+      });
+}
+
+void capture_replicas(const core::ReplicationGroup& g, StateSnapshot& s) {
+  for (const core::ReplicaStatus& st : g.status()) {
+    s.replicas.push_back({.rank = st.rank,
+                          .node = st.node,
+                          .role = std::string(core::to_string(st.role)),
+                          .term = st.term,
+                          .commit = st.commit,
+                          .applied = st.applied,
+                          .log_size = st.log_size,
+                          .lease_ns = st.lease_ns,
+                          .floor_index = st.floor_index,
+                          .floor_digest = st.floor_digest});
+  }
+}
+
+/// Both recorder tables from one store copy; its breaches are moved.
+void capture_timeseries(const telemetry::TimeSeriesRecorder& rec,
+                        StateSnapshot& s) {
+  telemetry::TimeSeriesStore store = rec.snapshot();
+  s.timeseries.reserve(store.total_points());
+  store.visit_points([&](const telemetry::TimeSeriesStore::PointView& pv) {
+    SeriesPointRow& r = s.timeseries.emplace_back();
+    r.window = pv.window;
+    r.t_start_ns = pv.t_start_ns;
+    r.t_end_ns = pv.t_end_ns;
+    r.name = *pv.name;
+    r.kind = telemetry::to_string(pv.kind);
+    switch (pv.kind) {
+      case telemetry::SeriesKind::Counter:
+        r.delta = pv.point->delta;
+        r.value = pv.rate();
+        break;
+      case telemetry::SeriesKind::Gauge:
+        r.value = pv.point->value;
+        break;
+      case telemetry::SeriesKind::Histogram:
+        r.count = pv.point->count;
+        r.sum = pv.point->sum;
+        r.p50 = pv.point->quantile(0.50);
+        r.p90 = pv.point->quantile(0.90);
+        r.p99 = pv.point->quantile(0.99);
+        break;
+    }
+    return true;
+  });
+  s.breaches.reserve(store.breaches.size());
+  for (telemetry::WatchdogBreach& b : store.breaches) {
+    s.breaches.push_back({std::move(b.rule), std::move(b.metric), b.window,
+                          b.t_ns, b.value, b.threshold});
+  }
+}
+
+void capture_spans(const telemetry::CausalTracer& tracer, StateSnapshot& s) {
+  const auto& spans = tracer.buffer().spans();
+  s.spans.reserve(spans.size());
+  for (const telemetry::SpanRecord& r : spans) {
+    s.spans.push_back({r.trace, r.span, r.parent, r.t_start_ns, r.t_end_ns,
+                       r.node, r.kind, r.a, r.b});
+  }
+}
+
+}  // namespace
+
 StateSnapshot capture(core::Cluster& cluster) {
-  const TableSet live = live_tables(cluster);
   StateSnapshot s;
-  s.meta = live.meta;
-  for_each_table([&](const auto& d) { s.*d.rows = (live.*d.relation).rows(); });
+  s.meta = capture_meta(cluster);
+  capture_nodes(cluster, s);
+  capture_jobs(cluster, s);
+  capture_metrics(cluster.metrics(), s);
+  if (const core::ReplicationGroup* g = cluster.replication()) {
+    capture_replicas(*g, s);
+  }
+  if (const telemetry::TimeSeriesRecorder* rec = cluster.timeseries()) {
+    capture_timeseries(*rec, s);
+  }
+  if (const telemetry::CausalTracer* tracer = cluster.tracer()) {
+    capture_spans(*tracer, s);
+  }
   return s;
 }
 

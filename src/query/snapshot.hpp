@@ -1,16 +1,20 @@
-// `storm.state.v1`: the deterministic JSON image of a TableSet.
+// The state plane's one table type (DESIGN.md §3.5): a StateSnapshot
+// holds the ClusterMeta header and one vector per `storm.state.v1`
+// table. Views, invariants and `statectl` all read it.
 //
-// capture() materializes the live relations into vectors; to_json()
+// capture() fills the vectors straight from a live cluster; to_json()
 // serialises them with the same rules the metrics/trace exporters
-// follow — fixed table and column order, entries in scan order (node
-// id, job id, (job, inc), (row, node), registry name order, span id),
+// follow — fixed table and column order, entries in capture order
+// (node id, job id, (job, inc), (row, node), registry name order,
+// replica rank, (window, series name), breach order, span id),
 // integers exact, doubles via %.10g — so two same-seed runs export
 // byte-identical snapshots and CI can diff them like it already diffs
-// `--metrics` and `--trace` files.
+// `--metrics` and `--trace` files. from_json() loads a file back into
+// the same vectors.
 //
-// from_json() loads a snapshot back into a StateSnapshot whose
-// tables() view is a TableSet over the materialized rows: every view
-// and invariant then runs identically on a live cluster and on a file.
+// Adding a table is one row type and schema (rows.hpp), one member
+// below, and one entry in the table list and one fill loop in
+// snapshot.cpp.
 #pragma once
 
 #include <string>
@@ -44,13 +48,10 @@ struct StateSnapshot {
   // keep their pre-§3.7 bytes.
   std::vector<SeriesPointRow> timeseries;
   std::vector<BreachRow> breaches;
-
-  /// Relations over the materialized rows (copies them; the returned
-  /// TableSet is self-contained and outlives this snapshot).
-  TableSet tables() const;
 };
 
-/// Materialize the cluster's live tables.
+/// Read the cluster's state into a snapshot. A pure read: no
+/// simulated time, no randomness, no cluster mutation.
 StateSnapshot capture(core::Cluster& cluster);
 
 /// Serialise to `storm.state.v1` (deterministic; see header comment).

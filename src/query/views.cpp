@@ -78,7 +78,7 @@ std::string node_state(const NodeRow& n) {
   return "up";
 }
 
-std::string view_summary(const TableSet& t) {
+std::string view_summary(const StateSnapshot& t) {
   const ClusterMeta& m = t.meta;
   std::string out;
   out += "cluster:   " + std::to_string(m.nodes) + " nodes, " +
@@ -90,32 +90,26 @@ std::string view_summary(const TableSet& t) {
          (m.standby_active ? " (standby, after failover)" : " (primary)") +
          ", " + std::to_string(m.strobes) + " strobes, heartbeat epoch " +
          std::to_string(m.hb_epoch) + "\n";
-  const auto by_state = t.jobs.group_by<std::string, int>(
-      [](const JobRow& j) { return core::to_string(j.state); }, 0,
-      [](int& acc, const JobRow&) { ++acc; });
-  out += "jobs:      " + std::to_string(t.jobs.count());
+  std::map<std::string, int> by_state;
+  for (const JobRow& j : t.jobs) ++by_state[core::to_string(j.state)];
+  out += "jobs:      " + std::to_string(t.jobs.size());
   for (const auto& [state, n] : by_state) {
     out += ", " + std::to_string(n) + " " + state;
   }
   out += "\n";
   out += "queue:     " + std::to_string(m.queued) + " waiting, " +
          std::to_string(m.completed) + " completed\n";
-  const std::size_t down =
-      t.nodes.count([](const NodeRow& n) { return n.failed || n.crashed; });
+  const auto down = std::ranges::count_if(
+      t.nodes, [](const NodeRow& n) { return n.failed || n.crashed; });
   out += "health:    " + std::to_string(down) + " node(s) down, " +
-         std::to_string(t.nodes.count(
-             [](const NodeRow& n) { return n.evicted; })) +
+         std::to_string(std::ranges::count(t.nodes, true, &NodeRow::evicted)) +
          " evicted\n";
   // Batched periodic paths (DESIGN §2.3). The counters register
   // lazily on first use, so the line only appears once a sweep,
   // absorbed heartbeat, or coalesced timer fire has happened.
-  const auto counter = [&t](const char* name) -> std::int64_t {
-    const auto row = t.metrics
-                         .where([name](const MetricRow& r) {
-                           return r.name == name;
-                         })
-                         .first();
-    return row ? row->count : 0;
+  const auto counter = [&t](std::string_view name) -> std::int64_t {
+    const auto it = std::ranges::find(t.metrics, name, &MetricRow::name);
+    return it != t.metrics.end() ? it->count : 0;
   };
   const std::int64_t hb_batched = counter("nm.heartbeat.batched");
   const std::int64_t hb_sweeps = counter("mm.heartbeat.sweeps");
@@ -128,7 +122,7 @@ std::string view_summary(const TableSet& t) {
   return out;
 }
 
-std::string view_nodes(const TableSet& t) {
+std::string view_nodes(const StateSnapshot& t) {
   // sinfo-style: collapse consecutive nodes with identical display
   // state into one range line.
   struct Key {
@@ -151,25 +145,25 @@ std::string view_nodes(const TableSet& t) {
                std::to_string(run_key.heartbeat),
                std::to_string(run_key.strobe_row)});
   };
-  t.nodes.for_each([&](const NodeRow& n) {
+  for (const NodeRow& n : t.nodes) {
     const Key key{node_state(n), n.pl_busy, n.matrix_cells, n.heartbeat,
                   n.strobe_row};
     if (run_first >= 0 && key == run_key && n.node == run_last + 1) {
       run_last = n.node;
-      return;
+      continue;
     }
     flush();
     run_first = run_last = n.node;
     run_key = key;
-  });
+  }
   flush();
   return table.str();
 }
 
-std::string view_queue(const TableSet& t) {
+std::string view_queue(const StateSnapshot& t) {
   Text table({"JOBID", "NAME", "STATE", "NPES", "NODES", "ROW", "INC",
               "SUBMIT_MS", "START_MS", "FINISH_MS"});
-  t.jobs.for_each([&](const JobRow& j) {
+  for (const JobRow& j : t.jobs) {
     const bool allocated = j.placed || occupies_resources(j.state) ||
                            j.terminal();
     table.add({std::to_string(j.id), j.name, core::to_string(j.state),
@@ -181,27 +175,27 @@ std::string view_queue(const TableSet& t) {
                std::to_string(j.incarnation), ms(j.submit_ns),
                j.started_ns > 0 ? ms(j.started_ns) : "-",
                j.finished_ns > 0 ? ms(j.finished_ns) : "-"});
-  });
+  }
   return table.str();
 }
 
-std::string view_matrix(const TableSet& t) {
+std::string view_matrix(const StateSnapshot& t) {
   // One line per timeslot: which jobs occupy it and how full it is.
   struct RowAgg {
     std::map<core::JobId, std::pair<int, int>> jobs;  // job -> (min, max)
     int cells = 0;
   };
-  const auto rows = t.matrix_slots.group_by<int, RowAgg>(
-      [](const MatrixSlotRow& s) { return s.row; }, RowAgg{},
-      [](RowAgg& acc, const MatrixSlotRow& s) {
-        auto [it, fresh] = acc.jobs.try_emplace(
-            s.job, std::pair<int, int>{s.node, s.node});
-        if (!fresh) {
-          it->second.first = std::min(it->second.first, s.node);
-          it->second.second = std::max(it->second.second, s.node);
-        }
-        ++acc.cells;
-      });
+  std::map<int, RowAgg> rows;
+  for (const MatrixSlotRow& s : t.matrix_slots) {
+    RowAgg& acc = rows[s.row];
+    auto [it, fresh] =
+        acc.jobs.try_emplace(s.job, std::pair<int, int>{s.node, s.node});
+    if (!fresh) {
+      it->second.first = std::min(it->second.first, s.node);
+      it->second.second = std::max(it->second.second, s.node);
+    }
+    ++acc.cells;
+  }
   Text table({"ROW", "JOBS", "CELLS", "OCC%"});
   for (int row = 0; row < t.meta.matrix_rows; ++row) {
     const auto it = rows.find(row);
@@ -226,31 +220,26 @@ std::string view_matrix(const TableSet& t) {
   return table.str();
 }
 
-std::string view_failures(const TableSet& t) {
+std::string view_failures(const StateSnapshot& t) {
   std::string out;
   Text nodes({"NODE", "STATE", "EPOCH", "HB", "PLBUSY"});
-  t.nodes
-      .where([](const NodeRow& n) {
-        return n.failed || n.crashed || n.evicted || n.mm_failed ||
-               n.epoch > 0;
-      })
-      .for_each([&](const NodeRow& n) {
-        nodes.add({std::to_string(n.node), node_state(n),
-                   std::to_string(n.epoch), std::to_string(n.heartbeat),
-                   std::to_string(n.pl_busy)});
-      });
+  for (const NodeRow& n : t.nodes) {
+    if (n.failed || n.crashed || n.evicted || n.mm_failed || n.epoch > 0) {
+      nodes.add({std::to_string(n.node), node_state(n),
+                 std::to_string(n.epoch), std::to_string(n.heartbeat),
+                 std::to_string(n.pl_busy)});
+    }
+  }
   out += nodes.empty() ? std::string("no node failures\n") : nodes.str();
 
   Text jobs({"JOBID", "NAME", "STATE", "RESTARTS", "LAST_REQUEUE_MS"});
-  t.jobs
-      .where([](const JobRow& j) {
-        return j.restarts > 0 || j.state == core::JobState::Aborted;
-      })
-      .for_each([&](const JobRow& j) {
-        jobs.add({std::to_string(j.id), j.name, core::to_string(j.state),
-                  std::to_string(j.restarts),
-                  j.last_requeue_ns > 0 ? ms(j.last_requeue_ns) : "-"});
-      });
+  for (const JobRow& j : t.jobs) {
+    if (j.restarts > 0 || j.state == core::JobState::Aborted) {
+      jobs.add({std::to_string(j.id), j.name, core::to_string(j.state),
+                std::to_string(j.restarts),
+                j.last_requeue_ns > 0 ? ms(j.last_requeue_ns) : "-"});
+    }
+  }
   if (!jobs.empty()) {
     out += "\n";
     out += jobs.str();
@@ -262,47 +251,45 @@ std::string view_failures(const TableSet& t) {
   return out;
 }
 
-std::string view_replication(const TableSet& t) {
+std::string view_replication(const StateSnapshot& t) {
   // Fixed line when the table is empty so the view renders identically
   // on a live replication-disabled cluster and on a snapshot that
   // omits the table.
-  if (t.replicas.count() == 0) return "replication disabled\n";
+  if (t.replicas.empty()) return "replication disabled\n";
   Text table({"RANK", "NODE", "ROLE", "TERM", "COMMIT", "APPLIED", "LOG",
               "LEASE_MS"});
-  t.replicas.for_each([&](const ReplicaRow& r) {
+  for (const ReplicaRow& r : t.replicas) {
     table.add({std::to_string(r.rank), std::to_string(r.node), r.role,
                std::to_string(r.term), std::to_string(r.commit),
                std::to_string(r.applied), std::to_string(r.log_size),
                r.lease_ns > 0 ? ms(r.lease_ns) : "-"});
-  });
+  }
   return table.str();
 }
 
-std::string view_spans(const TableSet& t, const ViewOptions& opt) {
-  Relation<SpanRow> spans = t.spans;
-  if (opt.job >= 0) {
-    const std::uint64_t lo = telemetry::job_trace_id(opt.job, 0);
-    const std::uint64_t hi =
-        telemetry::job_trace_id(opt.job, 0) + telemetry::kIncarnationsPerJob;
-    spans = spans.where(
-        [lo, hi](const SpanRow& s) { return s.trace >= lo && s.trace < hi; });
+std::string view_spans(const StateSnapshot& t, const ViewOptions& opt) {
+  std::vector<const SpanRow*> spans;
+  const std::uint64_t lo = telemetry::job_trace_id(opt.job, 0);
+  const std::uint64_t hi = lo + telemetry::kIncarnationsPerJob;
+  for (const SpanRow& s : t.spans) {
+    if (opt.job < 0 || (s.trace >= lo && s.trace < hi)) spans.push_back(&s);
   }
+  std::ranges::stable_sort(spans, {}, [](const SpanRow* s) {
+    return std::pair(s->t_start_ns, s->span);
+  });
   Text table({"T_START_US", "DUR_US", "NODE", "KIND", "TRACE", "SPAN",
               "PARENT", "A", "B"});
-  spans
-      .order_by<std::pair<std::int64_t, std::uint64_t>>(
-          [](const SpanRow& s) { return std::pair(s.t_start_ns, s.span); })
-      .for_each([&](const SpanRow& s) {
-        table.add(
-            {us(s.t_start_ns),
-             s.open() ? std::string("open") : us(s.t_end_ns - s.t_start_ns),
-             s.node < 0 ? std::string("-") : std::to_string(s.node),
-             std::string(telemetry::to_string(
-                 static_cast<telemetry::SpanKind>(s.kind))),
-             std::to_string(s.trace), std::to_string(s.span),
-             std::to_string(s.parent), std::to_string(s.a),
-             std::to_string(s.b)});
-      });
+  for (const SpanRow* s : spans) {
+    table.add(
+        {us(s->t_start_ns),
+         s->open() ? std::string("open") : us(s->t_end_ns - s->t_start_ns),
+         s->node < 0 ? std::string("-") : std::to_string(s->node),
+         std::string(telemetry::to_string(
+             static_cast<telemetry::SpanKind>(s->kind))),
+         std::to_string(s->trace), std::to_string(s->span),
+         std::to_string(s->parent), std::to_string(s->a),
+         std::to_string(s->b)});
+  }
   if (table.empty()) {
     return opt.job >= 0 ? "no spans for job " + std::to_string(opt.job) +
                               " (was tracing enabled?)\n"
@@ -361,9 +348,9 @@ struct TsRollup {
   std::int64_t window_ns = 0;  // longest observed span (tail is shorter)
 };
 
-TsRollup rollup_timeseries(const TableSet& t, const std::string& prefix) {
+TsRollup rollup_timeseries(const StateSnapshot& t, const std::string& prefix) {
   TsRollup r;
-  t.timeseries.for_each([&](const SeriesPointRow& p) {
+  for (const SeriesPointRow& p : t.timeseries) {
     if (r.w_max < 0) {
       r.w_min = r.w_max = p.window;
     } else {
@@ -371,7 +358,7 @@ TsRollup rollup_timeseries(const TableSet& t, const std::string& prefix) {
       r.w_max = std::max(r.w_max, p.window);
     }
     r.window_ns = std::max(r.window_ns, p.t_end_ns - p.t_start_ns);
-    if (!has_prefix(p.name, prefix)) return;
+    if (!has_prefix(p.name, prefix)) continue;
     SeriesAgg& a = r.series[p.name];
     a.kind = p.kind;
     if (p.kind == "counter") {
@@ -389,7 +376,7 @@ TsRollup rollup_timeseries(const TableSet& t, const std::string& prefix) {
       a.trend[p.window] = p.p99;
       a.cell[p.window] = static_cast<double>(p.count);
     }
-  });
+  }
   return r;
 }
 
@@ -421,17 +408,17 @@ constexpr const char* kNoTimeseries =
     "no timeseries (arm the recorder with --timeseries/--watchdog on the "
     "bench run)\n";
 
-std::string breach_section(const TableSet& t) {
-  if (t.breaches.count() == 0) return {};
+std::string breach_section(const StateSnapshot& t) {
+  if (t.breaches.empty()) return {};
   Text table({"RULE", "METRIC", "WINDOW", "T_MS", "VALUE", "THRESHOLD"});
-  t.breaches.for_each([&](const BreachRow& b) {
+  for (const BreachRow& b : t.breaches) {
     table.add({b.rule, b.metric, std::to_string(b.window), ms(b.t_ns),
                fmt_g(b.value), fmt_g(b.threshold)});
-  });
+  }
   return "\nwatchdog breaches:\n" + table.str();
 }
 
-std::string view_top(const TableSet& t, const ViewOptions& opt) {
+std::string view_top(const StateSnapshot& t, const ViewOptions& opt) {
   const TsRollup r = rollup_timeseries(t, opt.prefix);
   if (r.w_max < 0) return kNoTimeseries;
   const int span = opt.windows > 0 ? opt.windows : 20;
@@ -463,7 +450,7 @@ std::string view_top(const TableSet& t, const ViewOptions& opt) {
   return out + table.str() + breach_section(t);
 }
 
-std::string view_watch(const TableSet& t, const ViewOptions& opt) {
+std::string view_watch(const StateSnapshot& t, const ViewOptions& opt) {
   const TsRollup r = rollup_timeseries(t, opt.prefix);
   if (r.w_max < 0) return kNoTimeseries;
   const int span = opt.windows > 0 ? opt.windows : 20;
@@ -478,8 +465,7 @@ std::string view_watch(const TableSet& t, const ViewOptions& opt) {
   header.emplace_back("BREACHES");
   // Breach marks by window.
   std::map<std::int64_t, int> breaches;
-  t.breaches.for_each(
-      [&](const BreachRow& b) { ++breaches[b.window]; });
+  for (const BreachRow& b : t.breaches) ++breaches[b.window];
   Text table(std::move(header));
   for (std::int64_t w = w_lo; w <= r.w_max; ++w) {
     std::vector<std::string> row = {std::to_string(w),
@@ -497,7 +483,7 @@ std::string view_watch(const TableSet& t, const ViewOptions& opt) {
   return table.str() + breach_section(t);
 }
 
-std::string view_metrics(const TableSet& t, const ViewOptions& opt) {
+std::string view_metrics(const StateSnapshot& t, const ViewOptions& opt) {
   // Top-k cumulative counters/gauges by value — the quick "what did
   // this run do" ranking (the time-resolved story lives in top/watch).
   struct Entry {
@@ -506,14 +492,14 @@ std::string view_metrics(const TableSet& t, const ViewOptions& opt) {
     double value;
   };
   std::vector<Entry> entries;
-  t.metrics.for_each([&](const MetricRow& m) {
-    if (!has_prefix(m.name, opt.prefix)) return;
+  for (const MetricRow& m : t.metrics) {
+    if (!has_prefix(m.name, opt.prefix)) continue;
     if (m.kind == "counter") {
       entries.push_back({m.name, m.kind, static_cast<double>(m.count)});
     } else if (m.kind == "gauge") {
       entries.push_back({m.name, m.kind, m.value});
     }
-  });
+  }
   if (entries.empty()) {
     return opt.prefix.empty()
                ? "no counters or gauges recorded\n"
@@ -546,7 +532,7 @@ const std::vector<std::string>& view_names() {
   return names;
 }
 
-std::string render_view(std::string_view name, const TableSet& t,
+std::string render_view(std::string_view name, const StateSnapshot& t,
                         const ViewOptions& opt, std::string* err) {
   if (name == "summary") return view_summary(t);
   if (name == "nodes") return view_nodes(t);

@@ -1,15 +1,15 @@
-// Canned operator views over a TableSet — the squeue/sinfo-style
+// Canned operator views over a StateSnapshot — the squeue/sinfo-style
 // surface `statectl` renders. Every view is a pure function of the
-// TableSet (deterministic output), built from the relational
-// combinators, and works identically on live tables and parsed
-// snapshots.
+// snapshot's tables (deterministic output), so a view of a captured
+// live run and of the same run's parsed `storm.state.v1` file print
+// the same bytes.
 #pragma once
 
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "query/rows.hpp"
+#include "query/snapshot.hpp"
 
 namespace storm::query {
 
@@ -26,7 +26,7 @@ const std::vector<std::string>& view_names();
 /// Render view `name` ("summary", "nodes", "queue", "matrix",
 /// "failures", "replication", "spans", "metrics", "top", "watch") of
 /// `t`. Returns empty and sets *err for an unknown view.
-std::string render_view(std::string_view name, const TableSet& t,
+std::string render_view(std::string_view name, const StateSnapshot& t,
                         const ViewOptions& opt, std::string* err = nullptr);
 
 }  // namespace storm::query

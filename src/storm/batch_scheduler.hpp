@@ -51,13 +51,4 @@ std::vector<JobId> batch_pick(const std::vector<QueuedJobInfo>& queue,
                               int free_nodes, int total_nodes,
                               sim::SimTime now, BatchPolicy policy);
 
-/// Back-compat convenience: false = Fcfs, true = Easy.
-inline std::vector<JobId> batch_pick(const std::vector<QueuedJobInfo>& queue,
-                                     std::vector<RunningJobInfo> running,
-                                     int free_nodes, int total_nodes,
-                                     sim::SimTime now, bool backfill) {
-  return batch_pick(queue, std::move(running), free_nodes, total_nodes, now,
-                    backfill ? BatchPolicy::Easy : BatchPolicy::Fcfs);
-}
-
 }  // namespace storm::core

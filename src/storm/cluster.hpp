@@ -258,8 +258,6 @@ class Cluster {
   /// active MM (which restores the node to the allocator if it had
   /// been evicted, or kills suspect jobs after an undetected outage).
   void recover_node(int node);
-  /// Legacy name for crash_node.
-  void fail_node(int node) { crash_node(node); }
   /// Crash the primary MM dæmon only (its node survives): the standby,
   /// when configured, detects the silence and takes over.
   void crash_mm();

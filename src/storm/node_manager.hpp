@@ -51,8 +51,6 @@ class NodeManager {
   void crash();
   /// Recovery: come back with a clean slate (crash() wiped it).
   void restart();
-  /// Legacy name for crash().
-  void stop() { crash(); }
   bool stopped() const { return stopped_; }
 
   int node() const { return node_; }

@@ -40,7 +40,7 @@ ClusterConfig hb_config(int nodes) {
 
 // --- reordered deliveries -------------------------------------------------
 
-TEST(ReorderBuffer, CommandHandlingIsOrderInsensitive) {
+TEST(FaultRuleReorder, CommandHandlingIsOrderInsensitive) {
   // Jitter every MM->NM delivery by up to 2 ms — strobes arrive out of
   // order between nodes and between consecutive commands to one node.
   // Strobes carry the absolute matrix row and heartbeat epochs are
@@ -66,7 +66,7 @@ TEST(ReorderBuffer, CommandHandlingIsOrderInsensitive) {
       << "reordered deliveries must not look like node death";
 }
 
-TEST(ReorderBuffer, ClassFilterRestrictsJitter) {
+TEST(FaultRuleReorder, ClassFilterRestrictsJitter) {
   // Only strobe deliveries are held, and with no job nothing strobes:
   // the heartbeat deliveries pass untouched.
   sim::Simulator sim;
@@ -81,7 +81,7 @@ TEST(ReorderBuffer, ClassFilterRestrictsJitter) {
 
 // --- silenced nodes --------------------------------------------------------
 
-TEST(FaultInjectorSilence, SilencedNodeIsDeclaredDead) {
+TEST(FaultRuleSilence, SilencedNodeIsDeclaredDead) {
   // The node's dæmons are alive, but the plan blacks out all its
   // traffic: detection must declare it dead just the same.
   sim::Simulator sim;
@@ -98,7 +98,7 @@ TEST(FaultInjectorSilence, SilencedNodeIsDeclaredDead) {
   EXPECT_FALSE(plan->rule(silent).src.contains(4));
 }
 
-TEST(FaultInjectorSilence, UnsilenceStopsTheDrops) {
+TEST(FaultRuleSilence, UnsilenceStopsTheDrops) {
   sim::Simulator sim;
   Cluster cluster(sim, hb_config(4));
   auto plan = std::make_shared<FaultPlan>(sim);
@@ -115,7 +115,7 @@ TEST(FaultInjectorSilence, UnsilenceStopsTheDrops) {
 
 // --- asymmetric (one-way) drops -------------------------------------------
 
-TEST(FaultInjectorOneWay, CutsOnlyTheGivenDirection) {
+TEST(FaultRuleOneWay, CutsOnlyTheGivenDirection) {
   // MM (node 0) -> node 5 deliveries are dropped: node 5 stops hearing
   // heartbeats, its plane word stalls, and detection declares it dead.
   // Every other node keeps tracking the epoch — the cut is directional
@@ -137,7 +137,7 @@ TEST(FaultInjectorOneWay, CutsOnlyTheGivenDirection) {
   EXPECT_EQ(plan->rule(0).hits(), frozen);
 }
 
-TEST(FaultInjectorOneWay, ClassFilterRestrictsTheCut) {
+TEST(FaultRuleOneWay, ClassFilterRestrictsTheCut) {
   sim::Simulator sim;
   Cluster cluster(sim, hb_config(8));
   auto plan = std::make_shared<FaultPlan>(sim);
@@ -173,7 +173,7 @@ TEST(FaultCampaign, AsymPartitionWindowsToggleTheInjector) {
 
 // --- partitions --------------------------------------------------------------
 
-TEST(PartitionSimulator, IslandedNodesDeclaredDeadDuringWindow) {
+TEST(FaultRulePartition, IslandedNodesDeclaredDeadDuringWindow) {
   sim::Simulator sim;
   Cluster cluster(sim, hb_config(16));
   auto plan = std::make_shared<FaultPlan>(sim);
@@ -192,7 +192,7 @@ TEST(PartitionSimulator, IslandedNodesDeclaredDeadDuringWindow) {
   EXPECT_EQ(cluster.mm().failed_nodes(), expect);
 }
 
-TEST(PartitionSimulator, IntraIslandTrafficUnaffected) {
+TEST(FaultRulePartition, IntraIslandTrafficUnaffected) {
   // A window whose island is the whole machine cuts nothing: no
   // envelope crosses the boundary.
   sim::Simulator sim;

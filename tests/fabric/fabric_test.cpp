@@ -320,7 +320,7 @@ Action decide(FaultPlan& plan, const Envelope& e) {
   return a;
 }
 
-TEST(FaultInjector, SameSeedSameDecisions) {
+TEST(FaultRuleLossy, SameSeedSameDecisions) {
   // Rng has value semantics: two plans built from copies of the same
   // stream make identical decisions. (Rng::fork advances the parent,
   // so two fork(salt) calls deliberately differ.)
@@ -341,7 +341,7 @@ TEST(FaultInjector, SameSeedSameDecisions) {
   EXPECT_LT(x.rule(0).hits(), 200);
 }
 
-TEST(FaultInjector, ZeroProbabilityConsumesNoRandomness) {
+TEST(FaultRuleLossy, ZeroProbabilityConsumesNoRandomness) {
   // Rules with probability 0 or with no randomness at all (constant
   // delay, a zero-spread uniform draw, cuts, one-way and armed drops
   // that never match) match every envelope without touching the
@@ -377,7 +377,7 @@ TEST(FaultInjector, ZeroProbabilityConsumesNoRandomness) {
   EXPECT_EQ(x.rule(4).hits(), z.rule(0).hits());
 }
 
-TEST(FaultInjector, TargetedDropHitsOnceOnMatchingNode) {
+TEST(FaultRuleDropNext, TargetedDropHitsOnceOnMatchingNode) {
   sim::Simulator sim;
   FaultPlan x(sim);
   x.add(FaultRule::drop_next(MsgClass::Heartbeat, /*node=*/3));
@@ -391,7 +391,7 @@ TEST(FaultInjector, TargetedDropHitsOnceOnMatchingNode) {
   EXPECT_EQ(x.rule(0).hits(), 1);
 }
 
-TEST(LatencyPerturber, ModelsAndScope) {
+TEST(FaultRuleJitter, ModelsAndScope) {
   sim::Simulator sim;
   FaultPlan p(sim, sim.rng().fork(2));
   p.add(FaultRule::jitter(MsgClass::Strobe, FaultRule::Dist::Constant, 10_us,

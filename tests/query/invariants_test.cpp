@@ -1,17 +1,16 @@
 // The invariant registry: clean runs (small, fault campaign, 16k-node
-// plane mode) pass; a deliberately corrupted TableSet makes each of
+// plane mode) pass; a deliberately corrupted snapshot makes each of
 // the thirteen invariants fire — proving every check has teeth.
 //
-// Corruptions are synthetic TableSets built with Relation::of — the
-// cluster proper has no mutators that can produce these states, which
-// is the point.
+// Corruptions are synthetic StateSnapshots with hand-written rows —
+// the cluster proper has no mutators that can produce these states,
+// which is the point.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "query/invariants.hpp"
-#include "query/tables.hpp"
 #include "sim/simulator.hpp"
 #include "storm/cluster.hpp"
 
@@ -29,10 +28,10 @@ core::AppProgram compute_program(SimTime work) {
   };
 }
 
-// --- synthetic-TableSet helpers -------------------------------------------
+// --- synthetic-snapshot helpers -------------------------------------------
 
-TableSet synth() {
-  TableSet t;
+StateSnapshot synth() {
+  StateSnapshot t;
   t.meta.nodes = 8;
   t.meta.pls_per_node = 8;
   t.meta.scheduler = "gang";
@@ -59,7 +58,7 @@ JobRow running_job(core::JobId id, int row, int first, int count) {
 /// check_invariants(t) must fail, and every violation must come from
 /// the one expected invariant (no collateral damage from the
 /// corruption leaking into other checks).
-void expect_only(const TableSet& t, const std::string& name,
+void expect_only(const StateSnapshot& t, const std::string& name,
                  std::size_t at_least = 1) {
   const InvariantReport report = check_invariants(t);
   EXPECT_FALSE(report.ok());
@@ -69,8 +68,8 @@ void expect_only(const TableSet& t, const std::string& name,
   }
 }
 
-TEST(Invariants, CleanSyntheticTableSetPasses) {
-  const TableSet t = synth();
+TEST(Invariants, CleanSyntheticSnapshotPasses) {
+  const StateSnapshot t = synth();
   const InvariantReport report = check_invariants(t);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.invariants_run, 13);
@@ -81,8 +80,8 @@ TEST(Invariants, CleanSyntheticTableSetPasses) {
 
 TEST(Invariants, SlotOwnerLiveFires) {
   // (a) a cell owned by a job nobody knows.
-  TableSet t = synth();
-  t.matrix_slots = Relation<MatrixSlotRow>::of({{0, 3, 7}});
+  StateSnapshot t = synth();
+  t.matrix_slots = {{0, 3, 7}};
   expect_only(t, "slot-owner-live");
 
   // (b) a cell owned by a terminal job.
@@ -91,31 +90,30 @@ TEST(Invariants, SlotOwnerLiveFires) {
   done.state = core::JobState::Completed;
   done.placed = false;
   t.meta.completed = 1;
-  t.jobs = Relation<JobRow>::of({done});
-  t.matrix_slots = Relation<MatrixSlotRow>::of({{0, 2, 1}});
+  t.jobs = {done};
+  t.matrix_slots = {{0, 2, 1}};
   expect_only(t, "slot-owner-live");
 
   // (c) a cell outside its owner's recorded placement.
   t = synth();
-  t.jobs = Relation<JobRow>::of({running_job(1, 0, 0, 2)});
-  t.matrix_slots =
-      Relation<MatrixSlotRow>::of({{0, 0, 1}, {0, 1, 1}, {0, 5, 1}});
+  t.jobs = {running_job(1, 0, 0, 2)};
+  t.matrix_slots = {{0, 0, 1}, {0, 1, 1}, {0, 5, 1}};
   expect_only(t, "slot-owner-live");
 }
 
 TEST(Invariants, PlacementAllocationAgreeFires) {
   // (a) job record and matrix placement diverge.
-  TableSet t = synth();
+  StateSnapshot t = synth();
   JobRow skewed = running_job(1, 0, 0, 4);
   skewed.placement_first = 2;  // matrix says nodes 2+4, job says 0+4
-  t.jobs = Relation<JobRow>::of({skewed});
+  t.jobs = {skewed};
   expect_only(t, "placement-allocation-agree");
 
   // (b) gang scheduling: a resource-owning job with no placement.
   t = synth();
   JobRow floating = running_job(2, 0, 0, 4);
   floating.placed = false;
-  t.jobs = Relation<JobRow>::of({floating});
+  t.jobs = {floating};
   expect_only(t, "placement-allocation-agree");
 
   // (b') ...which the locally-scheduled foils are allowed to do.
@@ -124,54 +122,51 @@ TEST(Invariants, PlacementAllocationAgreeFires) {
 }
 
 TEST(Invariants, LiveAllocationsDisjointFires) {
-  TableSet t = synth();
-  t.jobs = Relation<JobRow>::of(
-      {running_job(1, 0, 0, 4), running_job(2, 0, 2, 4)});
+  StateSnapshot t = synth();
+  t.jobs = {running_job(1, 0, 0, 4), running_job(2, 0, 2, 4)};
   expect_only(t, "live-allocations-disjoint");
 
   // Different rows: timesharing the same nodes is legal.
-  t.jobs = Relation<JobRow>::of(
-      {running_job(1, 0, 0, 4), running_job(2, 1, 2, 4)});
+  t.jobs = {running_job(1, 0, 0, 4), running_job(2, 1, 2, 4)};
   EXPECT_TRUE(check_invariants(t).ok());
 
   // The uncoordinated foils share nodes by design.
-  t.jobs = Relation<JobRow>::of(
-      {running_job(1, 0, 0, 4), running_job(2, 0, 2, 4)});
+  t.jobs = {running_job(1, 0, 0, 4), running_job(2, 0, 2, 4)};
   t.meta.scheduler = "implicit-cosched";
   EXPECT_TRUE(check_invariants(t).ok());
 }
 
 TEST(Invariants, FailedNodePlIdleFires) {
-  TableSet t = synth();
+  StateSnapshot t = synth();
   NodeRow dead;
   dead.node = 3;
   dead.failed = true;
   dead.pl_mask = 0b101;
   dead.pl_busy = 2;
-  t.nodes = Relation<NodeRow>::of({dead});
+  t.nodes = {dead};
   expect_only(t, "failed-node-pl-idle");
 }
 
 TEST(Invariants, EvictedNodeUnusedFires) {
   // (a) an evicted node still owning matrix cells.
-  TableSet t = synth();
+  StateSnapshot t = synth();
   NodeRow gone;
   gone.node = 1;
   gone.evicted = true;
   gone.matrix_cells = 2;
-  t.nodes = Relation<NodeRow>::of({gone});
+  t.nodes = {gone};
   expect_only(t, "evicted-node-unused");
 
   // (b) a live placement spanning an evicted node.
   t = synth();
   gone.matrix_cells = 0;
-  t.nodes = Relation<NodeRow>::of({gone});
-  t.jobs = Relation<JobRow>::of({running_job(1, 0, 0, 4)});  // spans node 1
+  t.nodes = {gone};
+  t.jobs = {running_job(1, 0, 0, 4)};  // spans node 1
   expect_only(t, "evicted-node-unused");
 }
 
 TEST(Invariants, HeartbeatFreshFires) {
-  TableSet t = synth();
+  StateSnapshot t = synth();
   t.meta.heartbeat_enabled = true;
   t.meta.heartbeat_miss_periods = 2;  // slack = 3
   t.meta.hb_epoch = 20;
@@ -187,7 +182,7 @@ TEST(Invariants, HeartbeatFreshFires) {
   declared.node = 3;
   declared.heartbeat = 1;
   declared.mm_failed = true;
-  t.nodes = Relation<NodeRow>::of({fresh, stale, unjoined, declared});
+  t.nodes = {fresh, stale, unjoined, declared};
   const InvariantReport report = check_invariants(t);
   ASSERT_EQ(report.violations.size(), 1u) << report.summary();
   EXPECT_EQ(report.violations[0].invariant, "heartbeat-fresh");
@@ -195,7 +190,7 @@ TEST(Invariants, HeartbeatFreshFires) {
 }
 
 TEST(Invariants, QueueAccountingFires) {
-  TableSet t = synth();
+  StateSnapshot t = synth();
   JobRow queued;
   queued.id = 1;
   queued.name = "q";
@@ -203,7 +198,7 @@ TEST(Invariants, QueueAccountingFires) {
   done.id = 2;
   done.name = "d";
   done.state = core::JobState::Completed;
-  t.jobs = Relation<JobRow>::of({queued, done});
+  t.jobs = {queued, done};
   t.meta.queued = 2;     // MM thinks two queued; table holds one
   t.meta.completed = 0;  // MM missed the completion
   expect_only(t, "queue-accounting", 2);
@@ -216,14 +211,14 @@ TEST(Invariants, QueueAccountingFires) {
 
 TEST(Invariants, JobLifecycleFires) {
   // (a) restart budget blown (cap is max_job_restarts + 1 = 3).
-  TableSet t = synth();
+  StateSnapshot t = synth();
   JobRow churner;
   churner.id = 1;
   churner.name = "churner";
   churner.state = core::JobState::Aborted;  // killed for good
   churner.restarts = 4;
   t.meta.completed = 1;
-  t.jobs = Relation<JobRow>::of({churner});
+  t.jobs = {churner};
   expect_only(t, "job-lifecycle");
 
   // (b) non-monotone lifecycle timestamps on a completed job.
@@ -237,28 +232,28 @@ TEST(Invariants, JobLifecycleFires) {
   warped.first_proc_started_ns = 100;
   warped.last_proc_exited_ns = 50;  // exit precedes start
   t.meta.completed = 1;
-  t.jobs = Relation<JobRow>::of({warped});
+  t.jobs = {warped};
   expect_only(t, "job-lifecycle", 2);
 }
 
 TEST(Invariants, MetricsSaneFires) {
-  TableSet t = synth();
+  StateSnapshot t = synth();
   MetricRow neg{.name = "bad.counter", .kind = "counter", .count = -1};
   MetricRow inverted{.name = "bad.hist1", .kind = "histogram",
                      .count = 3, .sum = 9, .min = 5, .max = 2};
   MetricRow impossible{.name = "bad.hist2", .kind = "histogram",
                        .count = 2, .sum = 100, .min = 1, .max = 10};
-  t.metrics = Relation<MetricRow>::of({neg, inverted, impossible});
+  t.metrics = {neg, inverted, impossible};
   expect_only(t, "metrics-sane", 3);
 }
 
 TEST(Invariants, MsgClassReconcileFires) {
-  TableSet t = synth();
+  StateSnapshot t = synth();
   MetricRow wire{.name = "fabric.launch.wire_ops", .kind = "counter",
                  .count = 10};
   MetricRow delivered{.name = "fabric.launch.delivered", .kind = "counter",
                       .count = 4};  // 6 wire ops unaccounted for
-  t.metrics = Relation<MetricRow>::of({wire, delivered});
+  t.metrics = {wire, delivered};
   expect_only(t, "msgclass-reconcile");
 }
 
@@ -281,45 +276,45 @@ ReplicaRow replica(int rank, const std::string& role, std::int64_t term,
 TEST(Invariants, AtMostOneLeaderPerTermFires) {
   // Split brain as the query layer would see it: two replicas both
   // claiming term 3.
-  TableSet t = synth();
-  t.replicas = Relation<ReplicaRow>::of({replica(0, "leader", 3, 5, 4, 0xAB),
-                                         replica(1, "leader", 3, 5, 4, 0xAB),
-                                         replica(2, "follower", 3, 4, 4, 0xAB)});
+  StateSnapshot t = synth();
+  t.replicas = {replica(0, "leader", 3, 5, 4, 0xAB),
+                replica(1, "leader", 3, 5, 4, 0xAB),
+                replica(2, "follower", 3, 4, 4, 0xAB)};
   expect_only(t, "at-most-one-leader-per-term");
 
   // Leaders of *different* terms can transiently coexist in a sample
   // (the old one has not heard of its deposition yet): legal.
-  t.replicas = Relation<ReplicaRow>::of({replica(0, "leader", 2, 5, 4, 0xAB),
-                                         replica(1, "leader", 3, 5, 4, 0xAB),
-                                         replica(2, "follower", 3, 4, 4, 0xAB)});
+  t.replicas = {replica(0, "leader", 2, 5, 4, 0xAB),
+                replica(1, "leader", 3, 5, 4, 0xAB),
+                replica(2, "follower", 3, 4, 4, 0xAB)};
   EXPECT_TRUE(check_invariants(t).ok());
 }
 
 TEST(Invariants, CommittedPrefixAgreementFires) {
   // (a) same floor, different digests: the logs diverged inside the
   // committed prefix.
-  TableSet t = synth();
-  t.replicas = Relation<ReplicaRow>::of({replica(0, "leader", 2, 6, 4, 0xAB),
-                                         replica(1, "follower", 2, 4, 4, 0xCD),
-                                         replica(2, "follower", 2, 5, 4, 0xAB)});
+  StateSnapshot t = synth();
+  t.replicas = {replica(0, "leader", 2, 6, 4, 0xAB),
+                replica(1, "follower", 2, 4, 4, 0xCD),
+                replica(2, "follower", 2, 5, 4, 0xAB)};
   expect_only(t, "committed-prefix-agreement");
 
   // (b) replicas reporting different floors: the sample itself is
   // inconsistent.
-  t.replicas = Relation<ReplicaRow>::of({replica(0, "leader", 2, 6, 4, 0xAB),
-                                         replica(1, "follower", 2, 4, 3, 0xAB)});
+  t.replicas = {replica(0, "leader", 2, 6, 4, 0xAB),
+                replica(1, "follower", 2, 4, 3, 0xAB)};
   expect_only(t, "committed-prefix-agreement");
 
   // Agreement passes.
-  t.replicas = Relation<ReplicaRow>::of({replica(0, "leader", 2, 6, 4, 0xAB),
-                                         replica(1, "follower", 2, 4, 4, 0xAB),
-                                         replica(2, "follower", 2, 5, 4, 0xAB)});
+  t.replicas = {replica(0, "leader", 2, 6, 4, 0xAB),
+                replica(1, "follower", 2, 4, 4, 0xAB),
+                replica(2, "follower", 2, 5, 4, 0xAB)};
   EXPECT_TRUE(check_invariants(t).ok());
 }
 
 TEST(Invariants, TimeseriesSaneFires) {
   // (a) a window whose end precedes its start.
-  TableSet t = synth();
+  StateSnapshot t = synth();
   SeriesPointRow bad;
   bad.window = 3;
   bad.t_start_ns = 40'000'000;
@@ -327,13 +322,13 @@ TEST(Invariants, TimeseriesSaneFires) {
   bad.name = "fabric.strobe.delivered";
   bad.kind = "counter";
   bad.delta = 5;
-  t.timeseries = Relation<SeriesPointRow>::of({bad});
+  t.timeseries = {bad};
   expect_only(t, "timeseries-sane");
 
   // (b) a counter that ran backwards.
   bad.t_end_ns = 50'000'000;
   bad.delta = -1;
-  t.timeseries = Relation<SeriesPointRow>::of({bad});
+  t.timeseries = {bad};
   expect_only(t, "timeseries-sane");
 
   // (c) a histogram window with non-monotone quantiles.
@@ -349,7 +344,7 @@ TEST(Invariants, TimeseriesSaneFires) {
   h.p90 = 24.0;
   h.p99 = 96.0;
   t = synth();
-  t.timeseries = Relation<SeriesPointRow>::of({h});
+  t.timeseries = {h};
   expect_only(t, "timeseries-sane");
 
   // (d) rows out of time-major order.
@@ -360,12 +355,12 @@ TEST(Invariants, TimeseriesSaneFires) {
   b.t_start_ns = 20'000'000;
   b.t_end_ns = 30'000'000;
   t = synth();
-  t.timeseries = Relation<SeriesPointRow>::of({a, b});
+  t.timeseries = {a, b};
   expect_only(t, "timeseries-sane");
 
   // (e) a breach with no rule.
   t = synth();
-  t.breaches = Relation<BreachRow>::of({{"", "x", 0, 0, 1.0, 2.0}});
+  t.breaches = {{"", "x", 0, 0, 1.0, 2.0}};
   expect_only(t, "timeseries-sane");
 
   // A well-formed point passes.
@@ -373,7 +368,7 @@ TEST(Invariants, TimeseriesSaneFires) {
   a.window = 1;
   a.t_start_ns = 10'000'000;
   a.t_end_ns = 20'000'000;
-  t.timeseries = Relation<SeriesPointRow>::of({a, b});
+  t.timeseries = {a, b};
   EXPECT_TRUE(check_invariants(t).ok());
 }
 
@@ -457,7 +452,7 @@ TEST(Invariants, TerascalePlaneModePasses) {
   EXPECT_EQ(cluster.job(id).state(), core::JobState::Completed);
   const InvariantReport report = check_invariants(cluster);
   EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_TRUE(live_tables(cluster).meta.plane_mode);
+  EXPECT_TRUE(capture(cluster).meta.plane_mode);
 }
 
 }  // namespace

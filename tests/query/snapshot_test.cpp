@@ -10,7 +10,6 @@
 
 #include "query/json.hpp"
 #include "query/snapshot.hpp"
-#include "query/tables.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "storm/cluster.hpp"
@@ -255,26 +254,6 @@ TEST(Snapshot, FromJsonRejectsWrongSchema) {
   EXPECT_FALSE(err.empty());
   EXPECT_FALSE(from_json("not json", s, &err));
   EXPECT_FALSE(from_json("[]", s, &err));
-}
-
-TEST(Snapshot, TablesViewMatchesVectors) {
-  sim::Simulator sim;
-  core::Cluster cluster(sim, test_config());
-  cluster.submit({.name = "noop", .binary_size = 1_MB, .npes = 8});
-  ASSERT_TRUE(cluster.run_until_all_complete(60_sec));
-  const StateSnapshot s = capture(cluster);
-  const TableSet t = s.tables();
-  EXPECT_EQ(t.nodes.count(), s.nodes.size());
-  EXPECT_EQ(t.jobs.count(), s.jobs.size());
-  EXPECT_EQ(t.meta.nodes, s.meta.nodes);
-  // tables() is self-contained: scanning after the snapshot copy
-  // would dangle if it captured references. (Scoped copy below.)
-  Relation<JobRow> jobs;
-  {
-    const StateSnapshot scoped = s;
-    jobs = scoped.tables().jobs;
-  }
-  EXPECT_EQ(jobs.count(), s.jobs.size());
 }
 
 // --- find_state_json ------------------------------------------------------

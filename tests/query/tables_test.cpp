@@ -1,11 +1,12 @@
-// Live tables against cluster ground truth, and the zero-copy
-// contract: a Relation built once keeps seeing the cluster's current
-// state on every re-scan.
+// capture() against cluster ground truth: every table a live cluster
+// fills, and a snapshot's value semantics (a capture does not change
+// when the simulation advances).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
-#include "query/tables.hpp"
+#include "query/snapshot.hpp"
 #include "sim/simulator.hpp"
 #include "storm/cluster.hpp"
 #include "storm/machine_manager.hpp"
@@ -30,7 +31,7 @@ TEST(Tables, MetaMatchesConfig) {
   core::ClusterConfig cfg = core::ClusterConfig::es40(16);
   cfg.storm.quantum = 10_ms;
   core::Cluster cluster(sim, cfg);
-  const ClusterMeta m = live_meta(cluster);
+  const ClusterMeta m = capture(cluster).meta;
   EXPECT_EQ(m.nodes, 16);
   EXPECT_EQ(m.pls_per_node, cluster.pls_per_node());
   EXPECT_FALSE(m.plane_mode);
@@ -46,15 +47,15 @@ TEST(Tables, MetaMatchesConfig) {
 TEST(Tables, NodeTableCoversEveryNode) {
   sim::Simulator sim;
   core::Cluster cluster(sim, core::ClusterConfig::es40(8));
-  const TableSet t = live_tables(cluster);
-  EXPECT_EQ(t.nodes.count(), 8u);
+  const StateSnapshot t = capture(cluster);
+  EXPECT_EQ(t.nodes.size(), 8u);
   int expect = 0;
-  t.nodes.for_each([&](const NodeRow& n) {
-    EXPECT_EQ(n.node, expect++);  // scan order: node id
+  for (const NodeRow& n : t.nodes) {
+    EXPECT_EQ(n.node, expect++);  // capture order: node id
     EXPECT_FALSE(n.failed);
     EXPECT_EQ(n.pl_busy, 0);
     EXPECT_EQ(n.matrix_cells, 0);
-  });
+  }
 }
 
 TEST(Tables, JobLifecycleAndMatrixPlacement) {
@@ -68,43 +69,46 @@ TEST(Tables, JobLifecycleAndMatrixPlacement) {
                                          .program = compute_program(1_sec)});
   sim.run(500_ms);  // mid-run: transferring done, job on CPUs
 
-  const TableSet t = live_tables(cluster);
-  const auto jrow = t.jobs.first();
-  ASSERT_TRUE(jrow.has_value());
-  EXPECT_EQ(jrow->id, id);
-  EXPECT_EQ(jrow->name, "work");
-  EXPECT_TRUE(occupies_resources(jrow->state));
-  ASSERT_TRUE(jrow->placed);
-  EXPECT_EQ(jrow->node_count, 4);
+  const StateSnapshot t = capture(cluster);
+  ASSERT_EQ(t.jobs.size(), 1u);
+  const JobRow& jrow = t.jobs.front();
+  EXPECT_EQ(jrow.id, id);
+  EXPECT_EQ(jrow.name, "work");
+  EXPECT_TRUE(occupies_resources(jrow.state));
+  ASSERT_TRUE(jrow.placed);
+  EXPECT_EQ(jrow.node_count, 4);
   // Job-recorded allocation and matrix placement agree.
-  EXPECT_EQ(jrow->placement_row, jrow->row);
-  EXPECT_EQ(jrow->placement_first, jrow->first_node);
-  EXPECT_EQ(jrow->placement_count, jrow->node_count);
+  EXPECT_EQ(jrow.placement_row, jrow.row);
+  EXPECT_EQ(jrow.placement_first, jrow.first_node);
+  EXPECT_EQ(jrow.placement_count, jrow.node_count);
   // The matrix_slots table holds exactly the placement's cells.
-  EXPECT_EQ(t.matrix_slots.count(), 4u);
-  t.matrix_slots.for_each([&](const MatrixSlotRow& s) {
+  EXPECT_EQ(t.matrix_slots.size(), 4u);
+  for (const MatrixSlotRow& s : t.matrix_slots) {
     EXPECT_EQ(s.job, id);
-    EXPECT_EQ(s.row, jrow->placement_row);
-    EXPECT_GE(s.node, jrow->placement_first);
-    EXPECT_LT(s.node, jrow->placement_first + jrow->placement_count);
-  });
-  // Node rows see the same occupancy from the plane side.
-  const std::size_t owning = t.nodes.count(
-      [](const NodeRow& n) { return n.matrix_cells > 0; });
-  EXPECT_EQ(owning, 4u);
+    EXPECT_EQ(s.row, jrow.placement_row);
+    EXPECT_GE(s.node, jrow.placement_first);
+    EXPECT_LT(s.node, jrow.placement_first + jrow.placement_count);
+  }
+  // Each node row counts its own cells.
+  for (const NodeRow& n : t.nodes) {
+    EXPECT_EQ(n.matrix_cells,
+              std::ranges::count(t.matrix_slots, n.node, &MatrixSlotRow::node))
+        << "node " << n.node;
+  }
 
   ASSERT_TRUE(cluster.run_until_all_complete(60_sec));
-  // Same TableSet, rescanned: the relations are zero-copy views, so
-  // the completed state is visible without rebuilding them.
-  const auto done = t.jobs.first();
-  ASSERT_TRUE(done.has_value());
-  EXPECT_EQ(done->state, core::JobState::Completed);
-  EXPECT_FALSE(done->placed);
-  EXPECT_EQ(t.matrix_slots.count(), 0u);
-  EXPECT_GT(done->finished_ns, done->started_ns);
-  // meta is a value snapshot, NOT live — rebuild to refresh.
+  // A snapshot is a value: the mid-run capture still shows the running
+  // job, and a new capture shows it completed.
+  EXPECT_TRUE(occupies_resources(t.jobs.front().state));
   EXPECT_EQ(t.meta.completed, 0);
-  EXPECT_EQ(live_meta(cluster).completed, 1);
+  const StateSnapshot after = capture(cluster);
+  ASSERT_EQ(after.jobs.size(), 1u);
+  const JobRow& done = after.jobs.front();
+  EXPECT_EQ(done.state, core::JobState::Completed);
+  EXPECT_FALSE(done.placed);
+  EXPECT_TRUE(after.matrix_slots.empty());
+  EXPECT_GT(done.finished_ns, done.started_ns);
+  EXPECT_EQ(after.meta.completed, 1);
 }
 
 TEST(Tables, CrashedNodeShowsAllFlags) {
@@ -118,17 +122,16 @@ TEST(Tables, CrashedNodeShowsAllFlags) {
   cluster.crash_node(9);
   sim.run(1_sec);  // heartbeat slack passes; MM declares the death
 
-  const TableSet t = live_tables(cluster);
-  const auto nine = t.nodes
-                        .where([](const NodeRow& n) { return n.node == 9; })
-                        .first();
-  ASSERT_TRUE(nine.has_value());
-  EXPECT_TRUE(nine->failed);     // plane ground truth
-  EXPECT_TRUE(nine->crashed);    // crash model
-  EXPECT_TRUE(nine->mm_failed);  // declared by the MM
-  EXPECT_TRUE(nine->evicted);    // removed from the buddy trees
-  EXPECT_EQ(nine->pl_busy, 0);
-  EXPECT_EQ(t.nodes.count([](const NodeRow& n) { return n.failed; }), 1u);
+  const StateSnapshot t = capture(cluster);
+  ASSERT_EQ(t.nodes.size(), 16u);
+  const NodeRow& nine = t.nodes[9];
+  EXPECT_EQ(nine.node, 9);
+  EXPECT_TRUE(nine.failed);     // plane ground truth
+  EXPECT_TRUE(nine.crashed);    // crash model
+  EXPECT_TRUE(nine.mm_failed);  // declared by the MM
+  EXPECT_TRUE(nine.evicted);    // removed from the buddy trees
+  EXPECT_EQ(nine.pl_busy, 0);
+  EXPECT_EQ(std::ranges::count(t.nodes, true, &NodeRow::failed), 1);
 }
 
 TEST(Tables, IncarnationsTrackRequeues) {
@@ -150,21 +153,20 @@ TEST(Tables, IncarnationsTrackRequeues) {
   cluster.crash_node(victim);
   ASSERT_TRUE(cluster.run_until_all_complete(600_sec));
 
-  const TableSet t = live_tables(cluster);
-  const auto j = t.jobs.first();
-  ASSERT_TRUE(j.has_value());
-  EXPECT_EQ(j->restarts, 1);
-  EXPECT_EQ(j->incarnation, 1);
+  const StateSnapshot t = capture(cluster);
+  ASSERT_EQ(t.jobs.size(), 1u);
+  EXPECT_EQ(t.jobs[0].restarts, 1);
+  EXPECT_EQ(t.jobs[0].incarnation, 1);
   // One row per incarnation; only the last is current, none live
   // (the job is terminal).
-  EXPECT_EQ(t.incarnations.count(), 2u);
-  t.incarnations.for_each([&](const IncarnationRow& i) {
+  EXPECT_EQ(t.incarnations.size(), 2u);
+  for (const IncarnationRow& i : t.incarnations) {
     EXPECT_EQ(i.job, id);
     EXPECT_EQ(i.current, i.inc == 1);
     EXPECT_FALSE(i.live);
     EXPECT_EQ(i.trace, telemetry::job_trace_id(static_cast<int>(i.job),
                                                i.inc));
-  });
+  }
 }
 
 TEST(Tables, MetricsAndSpansTables) {
@@ -176,32 +178,31 @@ TEST(Tables, MetricsAndSpansTables) {
   cluster.submit({.name = "noop", .binary_size = 1_MB, .npes = 8});
   ASSERT_TRUE(cluster.run_until_all_complete(60_sec));
 
-  const TableSet t = live_tables(cluster);
-  EXPECT_GT(t.metrics.count(), 0u);
-  // Registry scan order: name-sorted within each kind; all kinds typed.
-  t.metrics.for_each([&](const MetricRow& m) {
+  const StateSnapshot t = capture(cluster);
+  EXPECT_FALSE(t.metrics.empty());
+  // Registry order: name-sorted within each kind; all kinds typed.
+  for (const MetricRow& m : t.metrics) {
     EXPECT_TRUE(m.kind == "counter" || m.kind == "gauge" ||
                 m.kind == "histogram")
         << m.name;
-  });
-  EXPECT_TRUE(t.metrics.any([](const MetricRow& m) {
+  }
+  EXPECT_TRUE(std::ranges::any_of(t.metrics, [](const MetricRow& m) {
     return m.kind == "counter" && m.name == "fabric.launch.wire_ops" &&
            m.count > 0;
   }));
-  EXPECT_GT(t.spans.count(), 0u);
-  // Spans scan in buffer (id) order; closed spans have an end.
-  t.spans.for_each([&](const SpanRow& s) {
+  EXPECT_FALSE(t.spans.empty());
+  // Spans come in buffer (id) order; closed spans have an end.
+  for (const SpanRow& s : t.spans) {
     if (!s.open()) {
       EXPECT_GE(s.t_end_ns, s.t_start_ns);
     }
-  });
+  }
 }
 
 TEST(Tables, SpansEmptyWithoutTracer) {
   sim::Simulator sim;
   core::Cluster cluster(sim, core::ClusterConfig::es40(4));
-  const TableSet t = live_tables(cluster);
-  EXPECT_EQ(t.spans.count(), 0u);
+  EXPECT_TRUE(capture(cluster).spans.empty());
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
-// Canned operator views: every view renders from live tables, renders
-// *identically* from a snapshot round trip (the statectl contract),
-// and the spans --job filter works.
+// Canned operator views: every view renders from a live capture,
+// renders *identically* from its storm.state.v1 round trip (the
+// statectl contract), and the spans --job filter works.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "query/snapshot.hpp"
-#include "query/tables.hpp"
 #include "query/views.hpp"
 #include "sim/simulator.hpp"
 #include "storm/cluster.hpp"
@@ -26,7 +25,7 @@ TEST(Views, NamesAreStable) {
 }
 
 TEST(Views, UnknownViewSetsError) {
-  const TableSet t;
+  const StateSnapshot t;
   std::string err;
   const std::string out = render_view("bogus", t, ViewOptions{}, &err);
   EXPECT_TRUE(out.empty());
@@ -49,11 +48,10 @@ TEST(Views, EveryViewRendersLiveAndFromSnapshotIdentically) {
   cluster.crash_node(12);  // give `failures` something to show
   ASSERT_TRUE(cluster.run_until_all_complete(60_sec));
 
-  const TableSet live = live_tables(cluster);
-  StateSnapshot parsed;
+  const StateSnapshot live = capture(cluster);
+  StateSnapshot from_file;
   std::string err;
-  ASSERT_TRUE(from_json(to_json(capture(cluster)), parsed, &err)) << err;
-  const TableSet from_file = parsed.tables();
+  ASSERT_TRUE(from_json(to_json(live), from_file, &err)) << err;
 
   for (const std::string& name : view_names()) {
     std::string live_err, file_err;
@@ -75,7 +73,7 @@ TEST(Views, SummaryAndQueueShowTheRun) {
   core::Cluster cluster(sim, core::ClusterConfig::es40(8));
   cluster.submit({.name = "payload", .binary_size = 1_MB, .npes = 16});
   ASSERT_TRUE(cluster.run_until_all_complete(60_sec));
-  const TableSet t = live_tables(cluster);
+  const StateSnapshot t = capture(cluster);
   std::string err;
 
   const std::string summary = render_view("summary", t, ViewOptions{}, &err);
@@ -96,7 +94,7 @@ TEST(Views, SummaryShowsPeriodicLineOnlyWhenBatchingRan) {
     sim.run(100_ms);
     std::string err;
     const std::string summary =
-        render_view("summary", live_tables(cluster), ViewOptions{}, &err);
+        render_view("summary", capture(cluster), ViewOptions{}, &err);
     EXPECT_EQ(summary.find("periodic:"), std::string::npos) << summary;
   }
   // A heartbeat cluster sweeps and absorbs; the line appears.
@@ -110,7 +108,7 @@ TEST(Views, SummaryShowsPeriodicLineOnlyWhenBatchingRan) {
     sim.run(1_sec);
     std::string err;
     const std::string summary =
-        render_view("summary", live_tables(cluster), ViewOptions{}, &err);
+        render_view("summary", capture(cluster), ViewOptions{}, &err);
     EXPECT_NE(summary.find("periodic:"), std::string::npos) << summary;
     EXPECT_NE(summary.find("mm sweep(s)"), std::string::npos) << summary;
     EXPECT_NE(summary.find("absorbed"), std::string::npos) << summary;
@@ -120,7 +118,7 @@ TEST(Views, SummaryShowsPeriodicLineOnlyWhenBatchingRan) {
 TEST(Views, NodesViewCollapsesUniformRuns) {
   sim::Simulator sim;
   core::Cluster cluster(sim, core::ClusterConfig::es40(64));
-  const TableSet t = live_tables(cluster);
+  const StateSnapshot t = capture(cluster);
   std::string err;
   const std::string out = render_view("nodes", t, ViewOptions{}, &err);
   // 64 identical idle nodes → one sinfo-style collapsed line.
@@ -147,7 +145,7 @@ TEST(Views, FailuresViewShowsCrashAndRestart) {
   cluster.crash_node(victim);
   ASSERT_TRUE(cluster.run_until_all_complete(600_sec));
 
-  const TableSet t = live_tables(cluster);
+  const StateSnapshot t = capture(cluster);
   std::string err;
   const std::string out = render_view("failures", t, ViewOptions{}, &err);
   EXPECT_NE(out.find(std::to_string(victim)), std::string::npos) << out;
@@ -162,7 +160,7 @@ TEST(Views, ReplicationViewShowsRolesOrDisabledLine) {
     core::Cluster cluster(sim, core::ClusterConfig::es40(8));
     std::string err;
     const std::string out =
-        render_view("replication", live_tables(cluster), ViewOptions{}, &err);
+        render_view("replication", capture(cluster), ViewOptions{}, &err);
     EXPECT_EQ(out, "replication disabled\n");
   }
   // Replication on: one row per replica with roles and terms.
@@ -175,7 +173,7 @@ TEST(Views, ReplicationViewShowsRolesOrDisabledLine) {
     cluster.submit({.name = "payload", .binary_size = 1_MB, .npes = 16});
     ASSERT_TRUE(cluster.run_until_all_complete(60_sec));
 
-    const TableSet live = live_tables(cluster);
+    const StateSnapshot live = capture(cluster);
     std::string err;
     const std::string out =
         render_view("replication", live, ViewOptions{}, &err);
@@ -183,10 +181,10 @@ TEST(Views, ReplicationViewShowsRolesOrDisabledLine) {
     EXPECT_NE(out.find("follower"), std::string::npos) << out;
 
     StateSnapshot parsed;
-    ASSERT_TRUE(from_json(to_json(capture(cluster)), parsed, &err)) << err;
+    ASSERT_TRUE(from_json(to_json(live), parsed, &err)) << err;
     EXPECT_EQ(parsed.replicas.size(), 3u);
     const std::string from_file =
-        render_view("replication", parsed.tables(), ViewOptions{}, &err);
+        render_view("replication", parsed, ViewOptions{}, &err);
     EXPECT_EQ(out, from_file);
   }
 }
@@ -198,7 +196,7 @@ TEST(Views, SpansJobFilter) {
   cluster.submit({.name = "a", .binary_size = 1_MB, .npes = 8});
   cluster.submit({.name = "b", .binary_size = 1_MB, .npes = 8});
   ASSERT_TRUE(cluster.run_until_all_complete(60_sec));
-  const TableSet t = live_tables(cluster);
+  const StateSnapshot t = capture(cluster);
   std::string err;
 
   const std::string all = render_view("spans", t, ViewOptions{}, &err);
@@ -226,17 +224,17 @@ TEST(Views, TimeseriesViewsRenderLiveAndFromSnapshotIdentically) {
   cluster.submit({.name = "payload", .binary_size = 4_MB, .npes = 32});
   ASSERT_TRUE(cluster.run_until_all_complete(60_sec));
 
-  const TableSet live = live_tables(cluster);
-  EXPECT_FALSE(live.timeseries.rows().empty());
+  const StateSnapshot live = capture(cluster);
+  EXPECT_FALSE(live.timeseries.empty());
   StateSnapshot parsed;
   std::string err;
-  ASSERT_TRUE(from_json(to_json(capture(cluster)), parsed, &err)) << err;
+  ASSERT_TRUE(from_json(to_json(live), parsed, &err)) << err;
   EXPECT_FALSE(parsed.timeseries.empty());
 
   for (const char* name : {"top", "watch", "metrics"}) {
     const std::string a = render_view(name, live, ViewOptions{}, &err);
     const std::string b =
-        render_view(name, parsed.tables(), ViewOptions{}, &err);
+        render_view(name, parsed, ViewOptions{}, &err);
     EXPECT_TRUE(err.empty()) << name << ": " << err;
     EXPECT_EQ(a, b) << name;
   }
@@ -259,7 +257,7 @@ TEST(Views, TimeseriesViewsHintWhenRecorderOff) {
   cluster.enable_fabric_metrics();
   cluster.submit({.name = "a", .binary_size = 1_MB, .npes = 8});
   ASSERT_TRUE(cluster.run_until_all_complete(60_sec));
-  const TableSet t = live_tables(cluster);
+  const StateSnapshot t = capture(cluster);
   std::string err;
   for (const char* name : {"top", "watch"}) {
     const std::string out = render_view(name, t, ViewOptions{}, &err);
@@ -274,7 +272,7 @@ TEST(Views, TimeseriesViewsHintWhenRecorderOff) {
 TEST(Views, SpansHintWhenTracingDisabled) {
   sim::Simulator sim;
   core::Cluster cluster(sim, core::ClusterConfig::es40(4));
-  const TableSet t = live_tables(cluster);
+  const StateSnapshot t = capture(cluster);
   std::string err;
   const std::string out = render_view("spans", t, ViewOptions{}, &err);
   EXPECT_NE(out.find("tracing"), std::string::npos) << out;

@@ -11,7 +11,8 @@ using namespace storm::sim::time_literals;
 TEST(BatchPick, FcfsStartsInOrderWhileFitting) {
   const std::vector<QueuedJobInfo> q = {
       {1, 4, 100_sec}, {2, 4, 100_sec}, {3, 4, 100_sec}};
-  auto r = batch_pick(q, {}, /*free=*/8, /*total=*/8, SimTime::zero(), false);
+  auto r = batch_pick(q, {}, /*free=*/8, /*total=*/8, SimTime::zero(),
+                      BatchPolicy::Fcfs);
   EXPECT_EQ(r, (std::vector<JobId>{1, 2}));
 }
 
@@ -20,7 +21,7 @@ TEST(BatchPick, FcfsHeadOfLineBlocking) {
   // would fit.
   const std::vector<QueuedJobInfo> q = {{1, 8, 100_sec}, {2, 2, 10_sec}};
   const std::vector<RunningJobInfo> running = {{4, 50_sec}};
-  auto r = batch_pick(q, running, 4, 8, SimTime::zero(), false);
+  auto r = batch_pick(q, running, 4, 8, SimTime::zero(), BatchPolicy::Fcfs);
   EXPECT_TRUE(r.empty());
 }
 
@@ -29,7 +30,7 @@ TEST(BatchPick, EasyBackfillsShortJob) {
   // (2 nodes, 10 s) finishes before the reservation: backfill it.
   const std::vector<QueuedJobInfo> q = {{1, 8, 100_sec}, {2, 2, 10_sec}};
   const std::vector<RunningJobInfo> running = {{4, 50_sec}};
-  auto r = batch_pick(q, running, 4, 8, SimTime::zero(), true);
+  auto r = batch_pick(q, running, 4, 8, SimTime::zero(), BatchPolicy::Easy);
   EXPECT_EQ(r, (std::vector<JobId>{2}));
 }
 
@@ -38,7 +39,7 @@ TEST(BatchPick, EasyRefusesBackfillThatDelaysReservation) {
   // shadow time the head needs every node: refuse.
   const std::vector<QueuedJobInfo> q = {{1, 8, 100_sec}, {2, 2, 100_sec}};
   const std::vector<RunningJobInfo> running = {{4, 50_sec}};
-  auto r = batch_pick(q, running, 4, 8, SimTime::zero(), true);
+  auto r = batch_pick(q, running, 4, 8, SimTime::zero(), BatchPolicy::Easy);
   EXPECT_TRUE(r.empty());
 }
 
@@ -48,7 +49,7 @@ TEST(BatchPick, EasyAllowsLongBackfillInSpareNodes) {
   // backfill.
   const std::vector<QueuedJobInfo> q = {{1, 4, 100_sec}, {2, 2, 1000_sec}};
   const std::vector<RunningJobInfo> running = {{4, 50_sec}, {2, 80_sec}};
-  auto r = batch_pick(q, running, 2, 8, SimTime::zero(), true);
+  auto r = batch_pick(q, running, 2, 8, SimTime::zero(), BatchPolicy::Easy);
   EXPECT_EQ(r, (std::vector<JobId>{2}));
 }
 
@@ -58,18 +59,18 @@ TEST(BatchPick, EasyBackfillUpdatesStateBetweenCandidates) {
   const std::vector<QueuedJobInfo> q = {
       {1, 8, 100_sec}, {2, 2, 10_sec}, {3, 2, 10_sec}};
   const std::vector<RunningJobInfo> running = {{6, 50_sec}};
-  auto r = batch_pick(q, running, 2, 8, SimTime::zero(), true);
+  auto r = batch_pick(q, running, 2, 8, SimTime::zero(), BatchPolicy::Easy);
   EXPECT_EQ(r, (std::vector<JobId>{2}));
 }
 
 TEST(BatchPick, EmptyQueue) {
-  auto r = batch_pick({}, {}, 8, 8, SimTime::zero(), true);
+  auto r = batch_pick({}, {}, 8, 8, SimTime::zero(), BatchPolicy::Easy);
   EXPECT_TRUE(r.empty());
 }
 
 TEST(BatchPick, EverythingFitsWithBackfillToo) {
   const std::vector<QueuedJobInfo> q = {{1, 2, 10_sec}, {2, 2, 10_sec}};
-  auto r = batch_pick(q, {}, 8, 8, SimTime::zero(), true);
+  auto r = batch_pick(q, {}, 8, 8, SimTime::zero(), BatchPolicy::Easy);
   EXPECT_EQ(r, (std::vector<JobId>{1, 2}));
 }
 
@@ -78,7 +79,7 @@ TEST(BatchPick, ReservationAgainstMultipleRunningJobs) {
   // t=60. A 25 s backfill candidate (2 nodes) finishes before that.
   const std::vector<QueuedJobInfo> q = {{1, 6, 100_sec}, {2, 2, 25_sec}};
   const std::vector<RunningJobInfo> running = {{2, 30_sec}, {4, 60_sec}};
-  auto r = batch_pick(q, running, 2, 8, SimTime::zero(), true);
+  auto r = batch_pick(q, running, 2, 8, SimTime::zero(), BatchPolicy::Easy);
   EXPECT_EQ(r, (std::vector<JobId>{2}));
 }
 

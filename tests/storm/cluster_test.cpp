@@ -297,7 +297,7 @@ TEST(ClusterFault, HeartbeatDetectsKilledNode) {
   });
   sim.run(500_ms);
   ASSERT_TRUE(cluster.mm().failed_nodes().empty());
-  cluster.fail_node(7);
+  cluster.crash_node(7);
   const SimTime killed_at = sim.now();
   sim.run(killed_at + 2_sec);
   EXPECT_EQ(failed_node, 7);

@@ -142,7 +142,7 @@ TEST(MetricsAggregator, SameSeedRunsSerialiseIdentically) {
   EXPECT_NE(a.metrics.to_json(), c.metrics.to_json());
 }
 
-TEST(MetricsAggregator, DropCountersMatchFaultInjector) {
+TEST(MetricsAggregator, DropCountersMatchFaultRuleLossy) {
   sim::Simulator sim(0x7E1E'07ULL);
   core::ClusterConfig cfg = core::ClusterConfig::es40(kNodes);
   cfg.storm.quantum = 10_ms;
