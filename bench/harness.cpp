@@ -95,15 +95,11 @@ int write_file(const char* flag, const char* path, const std::string& text) {
   return 0;
 }
 
-/// Render a run's spans as Perfetto JSON plus a critical-path report
-/// covering up to kMaxTraceReports job traces.
-void render_trace(const telemetry::TraceBuffer& buf, Point& p) {
-  p.trace = telemetry::to_perfetto_json(buf);
-  p.trace_spans = buf.spans().size();
-  p.trace_dropped = buf.dropped();
-  p.trace_report.clear();
+/// Print the critical-path report of up to kMaxTraceReports job
+/// traces in `rec`, and count the rest.
+void print_trace_report(const telemetry::TraceRecords& rec) {
   std::vector<std::uint64_t> traces;
-  for (const auto& sp : buf.spans()) {
+  for (const auto& sp : rec.spans) {
     if (sp.trace >= 2 && !sp.open()) traces.push_back(sp.trace);
   }
   std::sort(traces.begin(), traces.end());
@@ -111,22 +107,17 @@ void render_trace(const telemetry::TraceBuffer& buf, Point& p) {
   const std::size_t shown = std::min(traces.size(), kMaxTraceReports);
   for (std::size_t i = 0; i < shown; ++i) {
     const std::uint64_t t = traces[i];
-    char head[96];
-    std::snprintf(head, sizeof head,
-                  "trace: job %llu incarnation %llu critical path:\n",
-                  static_cast<unsigned long long>(
-                      (t - 2) / telemetry::kIncarnationsPerJob),
-                  static_cast<unsigned long long>(
-                      (t - 2) % telemetry::kIncarnationsPerJob));
-    p.trace_report += head;
-    p.trace_report +=
-        telemetry::format_critical_path(telemetry::analyze_launch(buf, t));
+    std::printf("trace: job %llu incarnation %llu critical path:\n",
+                static_cast<unsigned long long>(
+                    (t - 2) / telemetry::kIncarnationsPerJob),
+                static_cast<unsigned long long>(
+                    (t - 2) % telemetry::kIncarnationsPerJob));
+    const std::string cp =
+        telemetry::format_critical_path(telemetry::analyze_launch(rec, t));
+    std::fputs(cp.c_str(), stdout);
   }
   if (traces.size() > shown) {
-    char tail[64];
-    std::snprintf(tail, sizeof tail, "trace: ... and %zu more job traces\n",
-                  traces.size() - shown);
-    p.trace_report += tail;
+    std::printf("trace: ... and %zu more job traces\n", traces.size() - shown);
   }
 }
 
@@ -220,8 +211,18 @@ void Harness::attach(core::Cluster& cluster) const {
 void Harness::capture(core::Cluster& cluster, Point& p) const {
   if (has("--metrics")) p.metrics.merge(cluster.metrics());
   if (ts_enabled()) p.series.merge(cluster.timeseries()->snapshot());
-  if (has("--trace")) render_trace(cluster.tracer()->buffer(), p);
-  if (has("--state")) p.state = query::to_json(query::capture(cluster));
+  // This run's records replace the previous run's, which go first so
+  // that a point never holds two runs' copies.
+  if (has("--trace")) {
+    const telemetry::TraceRecords& rec = cluster.tracer()->buffer().records();
+    p.trace.reset();
+    p.trace = std::make_shared<const telemetry::TraceRecords>(rec);
+    p.trace_dropped += rec.dropped;
+  }
+  if (has("--state")) {
+    p.state.reset();
+    p.state = std::make_shared<query::StateSnapshot>(query::capture(cluster));
+  }
   const int nodes = cluster.config().nodes;
   const std::uint64_t events = cluster.sim().events_executed();
   ++p.runs;
@@ -231,21 +232,15 @@ void Harness::capture(core::Cluster& cluster, Point& p) const {
 }
 
 void Harness::capture(core::Cluster& cluster) {
-  // Straight into the totals: the same result as committing a fresh
-  // Point, without holding two rendered traces at once.
-  capture(cluster, total_);
+  capture(cluster, total_);  // the same as committing a fresh Point
 }
 
 void Harness::commit(Point&& p) {
   total_.metrics.merge(p.metrics);
   total_.series.merge(p.series);
-  if (!p.trace.empty()) {
-    total_.trace = std::move(p.trace);
-    total_.trace_report = std::move(p.trace_report);
-    total_.trace_spans = p.trace_spans;
-    total_.trace_dropped = p.trace_dropped;
-  }
-  if (!p.state.empty()) total_.state = std::move(p.state);
+  if (p.trace) total_.trace = std::move(p.trace);
+  if (p.state) total_.state = std::move(p.state);
+  total_.trace_dropped += p.trace_dropped;
   total_.runs += p.runs;
   total_.events += p.events;
   total_.node_events += p.node_events;
@@ -325,18 +320,23 @@ int Harness::write_series() const {
 }
 
 /// `--trace`: the last captured run's timeline, and its critical-path
-/// report on stdout.
+/// report on stdout. Spans lost in any run are counted on stderr, which
+/// golden comparisons do not cover.
 int Harness::write_trace() const {
   const char* out = path("--trace");
-  if (out == nullptr || total_.trace.empty()) return 0;
-  if (write_file("--trace", out, total_.trace) != 0) return 1;
-  std::printf("\ntrace: wrote %zu spans to %s (load in ui.perfetto.dev)\n",
-              total_.trace_spans, out);
+  if (out == nullptr || !total_.trace) return 0;
   if (total_.trace_dropped > 0) {
-    std::printf("trace: buffer full, %zu spans dropped\n",
-                total_.trace_dropped);
+    std::fprintf(stderr, "trace: buffer full, %zu spans dropped over %llu "
+                 "runs\n", total_.trace_dropped,
+                 static_cast<unsigned long long>(total_.runs));
   }
-  std::fputs(total_.trace_report.c_str(), stdout);
+  const telemetry::TraceRecords& rec = *total_.trace;
+  if (write_file("--trace", out, telemetry::to_perfetto_json(rec)) != 0) {
+    return 1;
+  }
+  std::printf("\ntrace: wrote %zu spans to %s (load in ui.perfetto.dev)\n",
+              rec.spans.size(), out);
+  print_trace_report(rec);
   return 0;
 }
 
@@ -368,6 +368,11 @@ int Harness::write_bench() const {
                   "  \"node_events\": %llu,\n  \"node_events_per_s\": %.1f,\n",
                   static_cast<unsigned long long>(total_.node_events), per_s);
     json += line;
+    if (has("--trace")) {
+      std::snprintf(line, sizeof line, "  \"trace_dropped\": %zu,\n",
+                    total_.trace_dropped);
+      json += line;
+    }
     if (!values_.empty()) {
       json += "  \"values\": {\n";
       std::size_t i = 0;
@@ -407,12 +412,13 @@ int Harness::write_bench() const {
 /// a piped run.
 int Harness::write_state() const {
   const char* out = path("--state");
-  if (out == nullptr || total_.state.empty()) return 0;
+  if (out == nullptr || !total_.state) return 0;
+  const std::string json = query::to_json(*total_.state);
   if (std::string_view(out) == "-") {
-    std::fwrite(total_.state.data(), 1, total_.state.size(), stdout);
+    std::fwrite(json.data(), 1, json.size(), stdout);
     return 0;
   }
-  if (write_file("--state", out, total_.state) != 0) return 1;
+  if (write_file("--state", out, json) != 0) return 1;
   // stderr, not stdout: golden comparisons cover stdout.
   std::fprintf(stderr, "state: wrote %s snapshot to %s\n",
                std::string(query::kStateSchema).c_str(), out);

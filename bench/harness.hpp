@@ -16,9 +16,11 @@
 // Sweep harnesses evaluate points on a SweepRunner pool. A worker
 // captures each run into the point's own Point — capture() only reads
 // the cluster, so any thread may call it — and the in-order commit
-// callback hands the Point to commit(). Merged metrics and series,
-// the last run's trace and state, and the event totals therefore come
-// out byte-identical for every --jobs value.
+// callback hands the Point to commit(), which only moves and merges.
+// Merged metrics and series, the last run's trace and state, and the
+// event totals therefore come out byte-identical for every --jobs
+// value. A Point keeps the last run's spans and state as records, not
+// text; finish() renders them once, from the run it writes.
 //
 // The query layer (storm.state.v1) is used only by harness.cpp, so no
 // harness translation unit compiles its headers.
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +40,12 @@
 
 namespace storm::core {
 class Cluster;
+}
+namespace storm::query {
+struct StateSnapshot;
+}
+namespace storm::telemetry {
+struct TraceRecords;
 }
 
 namespace storm::bench {
@@ -60,14 +69,14 @@ inline constexpr Flag kJobsFlag{"--jobs", Flag::Arg::Count, 1024};
 
 /// What one or more runs produced. capture() fills it from a live
 /// cluster on any thread; Harness::commit() folds it into the exports.
+/// It refers to no run's Simulator, and holds the last run's records by
+/// shared_ptr, whose deleter harness.cpp binds to the complete types.
 struct Point {
   telemetry::MetricsRegistry metrics;  // merged over the runs
   telemetry::TimeSeriesStore series;   // merged over the runs
-  std::string trace;                   // last run's Perfetto JSON
-  std::string trace_report;            // its critical-path report
-  std::size_t trace_spans = 0;
-  std::size_t trace_dropped = 0;
-  std::string state;                   // last run's storm.state.v1
+  std::shared_ptr<const telemetry::TraceRecords> trace;  // last run's
+  std::shared_ptr<const query::StateSnapshot> state;     // last run's
+  std::size_t trace_dropped = 0;       // spans lost, summed over the runs
   std::uint64_t runs = 0;
   std::uint64_t events = 0;            // engine events executed
   std::uint64_t node_events = 0;       // sum of run nodes x run events

@@ -464,7 +464,7 @@ InvariantReport check_invariants(const StateSnapshot& s) {
 }
 
 InvariantReport check_invariants(core::Cluster& cluster) {
-  return check_invariants(capture(cluster));
+  return check_invariants(capture(cluster, Capture::NoSpans));
 }
 
 std::string InvariantReport::summary() const {

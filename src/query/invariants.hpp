@@ -53,7 +53,8 @@ const std::vector<Invariant>& invariant_registry();
 /// Run every registered invariant against `s`.
 InvariantReport check_invariants(const StateSnapshot& s);
 
-/// check_invariants(capture(cluster)).
+/// check_invariants(capture(cluster)), without copying the spans no
+/// invariant reads.
 InvariantReport check_invariants(core::Cluster& cluster);
 
 /// Periodic in-simulation checker: once armed, re-runs

@@ -359,7 +359,7 @@ void capture_timeseries(const telemetry::TimeSeriesRecorder& rec,
 }
 
 void capture_spans(const telemetry::CausalTracer& tracer, StateSnapshot& s) {
-  const auto& spans = tracer.buffer().spans();
+  const auto& spans = tracer.buffer().records().spans;
   s.spans.reserve(spans.size());
   for (const telemetry::SpanRecord& r : spans) {
     s.spans.push_back({r.trace, r.span, r.parent, r.t_start_ns, r.t_end_ns,
@@ -369,7 +369,7 @@ void capture_spans(const telemetry::CausalTracer& tracer, StateSnapshot& s) {
 
 }  // namespace
 
-StateSnapshot capture(core::Cluster& cluster) {
+StateSnapshot capture(core::Cluster& cluster, Capture what) {
   StateSnapshot s;
   s.meta = capture_meta(cluster);
   capture_nodes(cluster, s);
@@ -381,7 +381,8 @@ StateSnapshot capture(core::Cluster& cluster) {
   if (const telemetry::TimeSeriesRecorder* rec = cluster.timeseries()) {
     capture_timeseries(*rec, s);
   }
-  if (const telemetry::CausalTracer* tracer = cluster.tracer()) {
+  if (const telemetry::CausalTracer* tracer = cluster.tracer();
+      tracer != nullptr && what == Capture::All) {
     capture_spans(*tracer, s);
   }
   return s;

@@ -50,9 +50,13 @@ struct StateSnapshot {
   std::vector<BreachRow> breaches;
 };
 
+/// Which tables capture() fills. No invariant reads a span, so
+/// check_invariants(cluster) captures without the `spans` table.
+enum class Capture : bool { All, NoSpans };
+
 /// Read the cluster's state into a snapshot. A pure read: no
 /// simulated time, no randomness, no cluster mutation.
-StateSnapshot capture(core::Cluster& cluster);
+StateSnapshot capture(core::Cluster& cluster, Capture what = Capture::All);
 
 /// Serialise to `storm.state.v1` (deterministic; see header comment).
 std::string to_json(const StateSnapshot& s);

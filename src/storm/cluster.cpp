@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
+#include "storm/buddy_allocator.hpp"
 #include "storm/machine_manager.hpp"
 #include "storm/node_manager.hpp"
 #include "storm/plane_runtime.hpp"
@@ -19,6 +21,12 @@ using sim::Task;
 
 Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
     : sim_(sim), config_(config) {
+  // Checked before anything registers with the simulator.
+  if (!BuddyAllocator::is_pow2(config_.nodes)) {
+    throw std::invalid_argument(
+        "ClusterConfig.nodes (" + std::to_string(config_.nodes) +
+        ") must be a power of two: the buddy allocator tiles the machine");
+  }
   // Surface the engine's periodic-cohort coalescing in this cluster's
   // metrics. The counter is resolved on the first coalesced fire, so
   // runs that never coalesce (every pinned figure today) serialise an
@@ -33,7 +41,6 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig config)
         self->mt_timer_coalesced_->add(static_cast<std::int64_t>(saved));
       },
       this);
-  assert(config_.nodes >= 1);
   assert(config_.app_cpus_per_node >= 1 &&
          config_.app_cpus_per_node <= config_.cpus_per_node);
   config_.machine.os.cpus = config_.cpus_per_node;
@@ -168,9 +175,13 @@ JobId Cluster::submit(JobSpec spec) {
   if (spec.binary_size <= 0) {
     throw std::invalid_argument("JobSpec.binary_size must be positive");
   }
+  constexpr std::size_t kMaxJobs = 1 << 14;  // app_channel() key width
+  if (jobs_.size() >= kMaxJobs) {
+    throw std::invalid_argument("Cluster::submit: the job table is full (" +
+                                std::to_string(kMaxJobs) + " jobs)");
+  }
   if (!spec.program) spec.program = do_nothing_program();
   const JobId id = static_cast<JobId>(jobs_.size());
-  assert(id < (1 << 14) && "app-channel key layout caps the job table");
   jobs_.push_back(std::make_unique<Job>(id, std::move(spec)));
   jobs_.back()->times().submit = sim_.now();
   mm().enqueue(id);

@@ -181,7 +181,7 @@ struct StormParams {
 };
 
 struct ClusterConfig {
-  int nodes = 64;
+  int nodes = 64;  // a power of two
   int cpus_per_node = 4;
   /// CPUs per node usable by application PEs; the remainder host the
   /// NM/PL/helper dæmons (the paper's gang experiments run 2 PEs/node).
@@ -216,12 +216,16 @@ struct ClusterConfig {
 
 class Cluster {
  public:
+  /// Throws std::invalid_argument unless `config.nodes` is a power of
+  /// two.
   Cluster(sim::Simulator& sim, ClusterConfig config);
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
   // --- job control ------------------------------------------------------
+  /// Throws std::invalid_argument when `spec` does not fit the machine
+  /// or the job table already holds 16384 jobs.
   JobId submit(JobSpec spec);
   Job& job(JobId id);
   const Job& job(JobId id) const;

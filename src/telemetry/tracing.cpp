@@ -14,8 +14,8 @@ std::uint64_t TraceBuffer::begin_span(SpanKind kind, int node,
                                       std::uint64_t trace,
                                       std::uint64_t parent, std::int64_t a,
                                       std::int64_t b) {
-  if (spans_.size() >= capacity_) {
-    ++dropped_;
+  if (rec_.spans.size() >= capacity_) {
+    ++rec_.dropped;
     return 0;
   }
   SpanRecord r;
@@ -28,38 +28,36 @@ std::uint64_t TraceBuffer::begin_span(SpanKind kind, int node,
   r.kind = static_cast<std::uint8_t>(kind);
   r.a = a;
   r.b = b;
-  spans_.push_back(r);
+  rec_.spans.push_back(r);
   return r.span;
 }
 
-SpanRecord* TraceBuffer::find_mutable(std::uint64_t id) {
+const SpanRecord* TraceRecords::find(std::uint64_t id) const {
   // Span ids are strictly increasing in insertion order.
   auto it = std::lower_bound(
-      spans_.begin(), spans_.end(), id,
+      spans.begin(), spans.end(), id,
       [](const SpanRecord& s, std::uint64_t v) { return s.span < v; });
-  if (it == spans_.end() || it->span != id) return nullptr;
+  if (it == spans.end() || it->span != id) return nullptr;
   return &*it;
-}
-
-const SpanRecord* TraceBuffer::find(std::uint64_t id) const {
-  return const_cast<TraceBuffer*>(this)->find_mutable(id);
 }
 
 void TraceBuffer::end_span(std::uint64_t id) {
   if (id == 0) return;
-  SpanRecord* s = find_mutable(id);
+  // The record is ours to stamp: find() only hands out const access.
+  auto* s = const_cast<SpanRecord*>(rec_.find(id));
   if (s == nullptr || !s->open()) return;
   s->t_end_ns = sim_.now().raw_ns();
 }
 
 void TraceBuffer::flow(std::uint64_t from, std::uint64_t to) {
   if (from == 0 || to == 0) return;
-  flows_.push_back(FlowEdge{from, to});
+  rec_.flows.push_back(FlowEdge{from, to});
 }
 
 std::vector<std::uint8_t> TraceBuffer::bytes() const {
   std::vector<std::uint8_t> out;
-  out.reserve(16 + spans_.size() * kSpanRecordBytes + flows_.size() * 16);
+  out.reserve(16 + rec_.spans.size() * kSpanRecordBytes +
+              rec_.flows.size() * 16);
   auto put32 = [&out](std::uint32_t v) {
     out.push_back(static_cast<std::uint8_t>(v));
     out.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -70,9 +68,9 @@ std::vector<std::uint8_t> TraceBuffer::bytes() const {
     put32(static_cast<std::uint32_t>(v));
     put32(static_cast<std::uint32_t>(v >> 32));
   };
-  put64(spans_.size());
-  put64(flows_.size());
-  for (const auto& s : spans_) {
+  put64(rec_.spans.size());
+  put64(rec_.flows.size());
+  for (const auto& s : rec_.spans) {
     put64(s.trace);
     put64(s.span);
     put64(s.parent);
@@ -83,7 +81,7 @@ std::vector<std::uint8_t> TraceBuffer::bytes() const {
     put64(static_cast<std::uint64_t>(s.a));
     put64(static_cast<std::uint64_t>(s.b));
   }
-  for (const auto& f : flows_) {
+  for (const auto& f : rec_.flows) {
     put64(f.from);
     put64(f.to);
   }
@@ -179,16 +177,16 @@ void append_event_prefix(std::string& out, const char* ph, int pid, int tid,
 
 }  // namespace
 
-std::string to_perfetto_json(const TraceBuffer& buf) {
+std::string to_perfetto_json(const TraceRecords& rec) {
   std::string out;
-  out.reserve(256 + buf.spans().size() * 160 + buf.flows().size() * 220);
+  out.reserve(256 + rec.spans.size() * 160 + rec.flows.size() * 220);
   out.append("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
 
   // Process / thread metadata: one process per node seen, one named
   // thread per lane used in that process. Collected sorted for
   // deterministic output.
   std::vector<std::pair<int, int>> lanes;  // (pid, tid)
-  for (const auto& s : buf.spans()) {
+  for (const auto& s : rec.spans) {
     lanes.emplace_back(span_pid(s), lane_tid(s.span_kind()));
   }
   std::sort(lanes.begin(), lanes.end());
@@ -231,7 +229,7 @@ std::string to_perfetto_json(const TraceBuffer& buf) {
 
   // Closed spans as complete ("X") slices. Spans still open when the
   // run drained (parked dæmon loops) are skipped.
-  for (const auto& s : buf.spans()) {
+  for (const auto& s : rec.spans) {
     if (s.open()) continue;
     sep();
     append_event_prefix(out, "X", span_pid(s), lane_tid(s.span_kind()),
@@ -256,10 +254,10 @@ std::string to_perfetto_json(const TraceBuffer& buf) {
   // Flow arrows between closed spans: "s" inside the source slice,
   // "f" (binding point "e") inside the destination slice.
   std::uint64_t flow_id = 0;
-  for (const auto& f : buf.flows()) {
+  for (const auto& f : rec.flows) {
     ++flow_id;
-    const SpanRecord* from = buf.find(f.from);
-    const SpanRecord* to = buf.find(f.to);
+    const SpanRecord* from = rec.find(f.from);
+    const SpanRecord* to = rec.find(f.to);
     if (from == nullptr || to == nullptr || from->open() || to->open())
       continue;
     char buf2[96];
@@ -284,11 +282,11 @@ std::string to_perfetto_json(const TraceBuffer& buf) {
 
 // --- critical-path analyzer -----------------------------------------------
 
-LaunchCriticalPath analyze_launch(const TraceBuffer& buf,
+LaunchCriticalPath analyze_launch(const TraceRecords& rec,
                                   std::uint64_t trace) {
   // Closed, non-root spans of this trace, in deterministic order.
   std::vector<const SpanRecord*> spans;
-  for (const auto& s : buf.spans()) {
+  for (const auto& s : rec.spans) {
     if (s.trace != trace || s.open()) continue;
     if (s.span_kind() == SpanKind::JobLaunch) continue;
     spans.push_back(&s);

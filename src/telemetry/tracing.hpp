@@ -152,6 +152,18 @@ struct FlowEdge {
   std::uint64_t to = 0;
 };
 
+/// What a TraceBuffer recorded, without the clock that stamped it: a
+/// run's spans, flow edges and drop count, which stay readable and
+/// exportable after the run's Simulator is gone.
+struct TraceRecords {
+  std::vector<SpanRecord> spans;  // span ids strictly increasing
+  std::vector<FlowEdge> flows;
+  std::size_t dropped = 0;        // spans refused because the buffer was full
+
+  /// The span with id `id`, or nullptr.
+  const SpanRecord* find(std::uint64_t id) const;
+};
+
 /// Bounded, byte-serialisable store of spans and flow edges. Span ids
 /// are sequential, so two same-seed runs produce byte-identical
 /// buffers. When full, new spans are dropped (counted) — open/close of
@@ -165,7 +177,6 @@ class TraceBuffer {
 
   void set_capacity(std::size_t n) { capacity_ = n; }
   std::size_t capacity() const { return capacity_; }
-  std::size_t dropped() const { return dropped_; }
 
   /// Open a span; returns its id (0 if the buffer is full).
   std::uint64_t begin_span(SpanKind kind, int node, std::uint64_t trace,
@@ -177,25 +188,17 @@ class TraceBuffer {
   /// Record a cause→effect arrow (no-op when either end is 0).
   void flow(std::uint64_t from, std::uint64_t to);
 
-  const std::vector<SpanRecord>& spans() const { return spans_; }
-  const std::vector<FlowEdge>& flows() const { return flows_; }
-  const SpanRecord* find(std::uint64_t id) const;
+  const TraceRecords& records() const { return rec_; }
 
   /// Packed little-endian image: span count, flow count, then every
   /// span and every flow edge. Open spans serialise with t_end = -1.
   std::vector<std::uint8_t> bytes() const;
 
-  sim::Simulator& simulator() { return sim_; }
-
  private:
-  SpanRecord* find_mutable(std::uint64_t id);
-
   sim::Simulator& sim_;
-  std::vector<SpanRecord> spans_;  // span ids strictly increasing
-  std::vector<FlowEdge> flows_;
+  TraceRecords rec_;
   std::uint64_t next_id_ = 1;
   std::size_t capacity_ = kDefaultCapacity;
-  std::size_t dropped_ = 0;
 };
 
 class CausalTracer;
@@ -291,7 +294,7 @@ class CausalTracer final : public fabric::Middleware {
 /// MM/standby tracks included), one thread lane per dæmon, "X" slices
 /// for closed spans, "s"/"f" flow arrows along every edge whose both
 /// ends closed. Open spans are skipped. Deterministic output.
-std::string to_perfetto_json(const TraceBuffer& buf);
+std::string to_perfetto_json(const TraceRecords& rec);
 
 /// Paper-style decomposition of one trace's critical path: walk
 /// backwards from the latest span end, always stepping to the latest
@@ -308,8 +311,12 @@ struct LaunchCriticalPath {
   }
 };
 
-LaunchCriticalPath analyze_launch(const TraceBuffer& buf,
+LaunchCriticalPath analyze_launch(const TraceRecords& rec,
                                   std::uint64_t trace);
+inline LaunchCriticalPath analyze_launch(const TraceBuffer& buf,
+                                         std::uint64_t trace) {
+  return analyze_launch(buf.records(), trace);
+}
 
 /// Render one decomposition as human-readable lines ("  ft-bcast
 /// 78.3% 83.21 ms" …), for the benches' stdout reports.

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "apps/loaders.hpp"
 #include "apps/sweep3d.hpp"
 #include "apps/synthetic.hpp"
 #include "storm/cluster.hpp"
@@ -103,28 +102,6 @@ TEST(Sweep3d, ScalesWeaklyAcrossNodes) {
   const double n2 = run_nodes(2);
   const double n16 = run_nodes(16);
   EXPECT_LT(n16, n2 * 1.4);
-}
-
-TEST(Loaders, PingPongCompletes) {
-  sim::Simulator sim;
-  Cluster cluster(sim, ClusterConfig::es40(2));
-  const JobId id = cluster.submit(
-      {.binary_size = 1_MB, .npes = 8, .program = network_pingpong(100)});
-  ASSERT_TRUE(cluster.run_until_all_complete(120_sec));
-  EXPECT_EQ(cluster.job(id).state(), core::JobState::Completed);
-  // 8 ranks -> 4 pairs; each round moves a message each way.
-  EXPECT_GE(cluster.network().bytes_put(), 4 * 100 * 2 * 64_KB);
-}
-
-TEST(Loaders, OddRankCountStillTerminates) {
-  sim::Simulator sim;
-  ClusterConfig cfg = ClusterConfig::es40(2);
-  cfg.app_cpus_per_node = 3;
-  Cluster cluster(sim, cfg);
-  const JobId id = cluster.submit(
-      {.binary_size = 1_MB, .npes = 5, .program = network_pingpong(10)});
-  ASSERT_TRUE(cluster.run_until_all_complete(120_sec));
-  EXPECT_EQ(cluster.job(id).state(), core::JobState::Completed);
 }
 
 }  // namespace

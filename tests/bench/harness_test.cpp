@@ -13,6 +13,7 @@
 
 #include "bench/runner.hpp"
 #include "storm/cluster.hpp"
+#include "telemetry/tracing.hpp"
 
 namespace storm::bench {
 namespace {
@@ -151,6 +152,58 @@ TEST(HarnessPoint, PooledCommitsMatchSerialByteForByte) {
   for (std::size_t k = 0; k < serial.size(); ++k) {
     EXPECT_TRUE(serial[k] == pooled[k]) << "artifact " << k;
   }
+}
+
+TEST(HarnessPoint, BenchJsonCountsDroppedSpansOverAllRuns) {
+  // Every run overflows a tiny trace buffer; the storm.bench.v1 record
+  // must count the spans lost in all of them, not only the written run.
+  const std::string dir = testing::TempDir() + "harness_dropped_";
+  std::vector<std::string> args = {"harness_test", "--jobs", "2",
+                                   "--trace", dir + "t.json",
+                                   "--bench-json", dir + "b.json"};
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  Harness h(static_cast<int>(argv.size()), argv.data(), "test", {kJobsFlag});
+
+  struct Out {
+    Point point;
+    std::size_t dropped = 0;
+  };
+  std::size_t want = 0;
+  const SweepRunner runner(h.jobs());
+  runner.run(
+      3,
+      [&](std::size_t i) {
+        Out out;
+        for (int run = 0; run < 2; ++run) {
+          sim::Simulator sim(0xD0'0DULL + i);
+          core::Cluster cluster(sim, core::ClusterConfig::es40(4));
+          h.attach(cluster);
+          cluster.tracer()->buffer().set_capacity(4 + i);
+          cluster.submit({.binary_size = 1_MB, .npes = 4});
+          EXPECT_TRUE(cluster.run_until_all_complete(60_sec));
+          out.dropped += cluster.tracer()->buffer().records().dropped;
+          h.capture(cluster, out.point);
+        }
+        return out;
+      },
+      [&](std::size_t, Out& out) {
+        want += out.dropped;
+        h.commit(std::move(out.point));
+      });
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(h.finish(), 0);
+  testing::internal::GetCapturedStdout();
+  const std::string err = testing::internal::GetCapturedStderr();
+
+  ASSERT_GT(want, 0u);
+  EXPECT_NE(slurp(dir + "b.json").find("\"trace_dropped\": " +
+                                       std::to_string(want) + ",\n"),
+            std::string::npos);
+  EXPECT_NE(err.find(std::to_string(want) + " spans dropped over 6 runs"),
+            std::string::npos)
+      << err;
 }
 
 }  // namespace

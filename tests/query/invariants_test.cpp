@@ -389,6 +389,32 @@ TEST(Invariants, CleanRunPasses) {
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
+TEST(Invariants, ClusterCheckSkipsSpansWithSameReport) {
+  // check_invariants(cluster) captures without the spans table; on a
+  // traced cluster, mid-run, it must report exactly what a check of
+  // the full capture reports.
+  sim::Simulator sim;
+  core::ClusterConfig cfg = core::ClusterConfig::es40(16);
+  cfg.storm.quantum = 2_ms;
+  core::Cluster cluster(sim, cfg);
+  cluster.enable_fabric_metrics();
+  cluster.enable_tracing();
+  cluster.submit({.name = "a", .binary_size = 4_MB, .npes = 32,
+                  .program = compute_program(200_ms)});
+  cluster.submit({.name = "b", .binary_size = 1_MB, .npes = 16,
+                  .program = compute_program(100_ms)});
+  for (const SimTime t : {30_ms, 150_ms, 2_sec}) {
+    sim.run(t);
+    const StateSnapshot full = capture(cluster);
+    ASSERT_FALSE(full.spans.empty());
+    EXPECT_TRUE(capture(cluster, Capture::NoSpans).spans.empty());
+    const InvariantReport want = check_invariants(full);
+    const InvariantReport got = check_invariants(cluster);
+    EXPECT_EQ(got.invariants_run, want.invariants_run);
+    EXPECT_EQ(got.summary(), want.summary());
+  }
+}
+
 TEST(Invariants, ProbeHoldsAcrossFaultCampaign) {
   // fig_recovery in miniature: crash the victim's first node mid-run,
   // let the heartbeat declare it, requeue, rejoin — with the full

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "storm/machine_manager.hpp"
 #include "storm/node_manager.hpp"
 
@@ -363,6 +365,29 @@ TEST(ClusterMisc, ManySequentialJobsReuseResources) {
   }
   EXPECT_EQ(cluster.mm().completed_count(), 5);
   EXPECT_EQ(cluster.mm().matrix().job_count(), 0u);
+}
+
+TEST(ClusterPreconditions, NonPowerOfTwoNodeCountThrows) {
+  sim::Simulator sim;
+  for (const int nodes : {0, 3, 24, 1000}) {
+    EXPECT_THROW(Cluster(sim, launch_config(nodes)), std::invalid_argument)
+        << nodes << " nodes";
+  }
+  // The refused configurations left the simulator untouched.
+  Cluster cluster(sim, launch_config(4));
+  cluster.submit({.binary_size = 1_MB, .npes = 16});
+  EXPECT_TRUE(cluster.run_until_all_complete(60_sec));
+}
+
+TEST(ClusterPreconditions, JobTableCapThrows) {
+  sim::Simulator sim;
+  Cluster cluster(sim, launch_config(2));
+  for (int i = 0; i < (1 << 14); ++i) {
+    cluster.submit({.binary_size = 1_MB, .npes = 1});
+  }
+  EXPECT_THROW(cluster.submit({.binary_size = 1_MB, .npes = 1}),
+               std::invalid_argument);
+  EXPECT_EQ(cluster.job_count(), std::size_t{1} << 14);
 }
 
 }  // namespace

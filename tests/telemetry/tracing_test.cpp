@@ -37,10 +37,10 @@ core::AppProgram compute_program(SimTime work) {
 template <typename Fn>
 int for_each_closed(const TraceBuffer& buf, SpanKind kind, Fn&& visit) {
   int n = 0;
-  for (const SpanRecord& s : buf.spans()) {
+  for (const SpanRecord& s : buf.records().spans) {
     if (s.span_kind() != kind || s.open()) continue;
     ++n;
-    visit(s, s.parent != 0 ? buf.find(s.parent) : nullptr);
+    visit(s, s.parent != 0 ? buf.records().find(s.parent) : nullptr);
   }
   return n;
 }
@@ -76,7 +76,7 @@ TEST(CausalTracing, ContextSurvivesFullMiddlewareChain) {
   ASSERT_NE(cluster.tracer(), nullptr);
   const TraceBuffer& buf = cluster.tracer()->buffer();
   EXPECT_GT(plan->rule(reorder).hits(), 0);
-  EXPECT_EQ(buf.dropped(), 0u);
+  EXPECT_EQ(buf.records().dropped, 0u);
 
   // Every NM launch handler span is parented on the MM's launch-issue
   // span — the context crossed the (jittered, reordered) wire.
@@ -102,7 +102,7 @@ TEST(CausalTracing, ContextSurvivesFullMiddlewareChain) {
   EXPECT_GT(chunks, 0);
 
   // Cross-node parenting produced flow edges.
-  EXPECT_FALSE(buf.flows().empty());
+  EXPECT_FALSE(buf.records().flows.empty());
 }
 
 TEST(CausalTracing, SpanNestingSurvivesNmDescheduling) {
@@ -141,7 +141,7 @@ TEST(CausalTracing, SpanNestingSurvivesNmDescheduling) {
       buf, SpanKind::NmLaunch,
       [&](const SpanRecord& s, const SpanRecord*) {
         const SpanRecord* root = nullptr;
-        for (const SpanRecord& r : buf.spans()) {
+        for (const SpanRecord& r : buf.records().spans) {
           if (r.trace == s.trace && r.span_kind() == SpanKind::JobLaunch) {
             root = &r;
             break;
